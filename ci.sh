@@ -7,6 +7,17 @@ set -euxo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --workspace --offline
+
+# Report-digest pin of the fault-simulation-bound benchmark workload: one
+# cold chain-s13207 run must reproduce its pinned report digest. The last
+# stdout line is the benchmark's JSON summary.
+PERF_LAST=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload chain-s13207 --seed 1 --seconds 0 --trace 0 | tail -n 1)
+case "$PERF_LAST" in
+  *'"correct":true'*) ;;
+  *) echo "perfbench chain-s13207 digest mismatch: $PERF_LAST" >&2; exit 1 ;;
+esac
+
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

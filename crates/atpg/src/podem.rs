@@ -127,6 +127,11 @@ pub struct Podem<'a> {
     queued: Vec<bool>,
     fault: Option<Fault>,
     scratch: Vec<Logic>,
+    /// X-path walk marks: gate `g` is visited in the current walk iff
+    /// `xpath_seen[g] == xpath_epoch`, so no walk clears or allocates it.
+    xpath_seen: Vec<u32>,
+    xpath_epoch: u32,
+    xpath_stack: Vec<GateId>,
     backtrack_counter: tvs_exec::Counter,
     last_backtracks: u32,
 }
@@ -153,6 +158,9 @@ impl<'a> Podem<'a> {
             queued: vec![false; n],
             fault: None,
             scratch: Vec::new(),
+            xpath_seen: vec![0; n],
+            xpath_epoch: 0,
+            xpath_stack: Vec::new(),
             backtrack_counter: tvs_exec::counter("atpg.backtracks"),
             last_backtracks: 0,
         }
@@ -324,11 +332,8 @@ impl<'a> Podem<'a> {
         }
         // The faulty value at a stem fault site on a *source* gate is pinned
         // immediately (sources are not re-evaluated by propagation).
-        if fault.site.pin.is_none() {
-            if let Some(i) = self.view.input_index_of(fault.site.gate) {
-                let _ = i;
-                self.faulty[fault.site.gate.index()] = stuck_logic(fault);
-            }
+        if fault.site.pin.is_none() && self.view.input_index_of(fault.site.gate).is_some() {
+            self.faulty[fault.site.gate.index()] = stuck_logic(fault);
         }
     }
 
@@ -430,7 +435,7 @@ impl<'a> Podem<'a> {
     }
 
     /// True when the current assignments can no longer lead to a detection.
-    fn conflict(&self) -> bool {
+    fn conflict(&mut self) -> bool {
         let fault = self.active_fault();
         let site = self.site_value();
         let stuck = stuck_logic(fault);
@@ -483,28 +488,33 @@ impl<'a> Podem<'a> {
 
     /// X-path check: from some D-frontier gate there must be a chain of
     /// not-fully-determined signals reaching a cone output.
-    fn xpath_exists(&self) -> bool {
+    fn xpath_exists(&mut self) -> bool {
         if self.detected() {
             return true;
         }
-        // Determine which cone outputs are still open (undetermined).
-        let open_output = |o: usize| {
-            let (g, f) = self.output_pair(o);
-            !g.is_specified() || !f.is_specified()
-        };
-        // Walk backwards from open outputs through undetermined gates;
-        // success if we touch a D-frontier gate.
-        let mut seen = vec![false; self.netlist.gate_count()];
-        let mut stack: Vec<GateId> = Vec::new();
+        // A fresh epoch unmarks every gate; on wrap-around, clear for real.
+        self.xpath_epoch = self.xpath_epoch.wrapping_add(1);
+        if self.xpath_epoch == 0 {
+            self.xpath_seen.fill(0);
+            self.xpath_epoch = 1;
+        }
+        let epoch = self.xpath_epoch;
+        let mut seen = std::mem::take(&mut self.xpath_seen);
+        let mut stack = std::mem::take(&mut self.xpath_stack);
+        stack.clear();
+        // Walk backwards from open (undetermined) cone outputs through
+        // undetermined gates; success if we touch a D-frontier gate.
         for &o in &self.cone_outputs {
-            if open_output(o) {
+            let (g, f) = self.output_pair(o);
+            if !g.is_specified() || !f.is_specified() {
                 let d = self.view.output_gate(o);
-                if self.cone[d.index()] && !seen[d.index()] {
-                    seen[d.index()] = true;
+                if self.cone[d.index()] && seen[d.index()] != epoch {
+                    seen[d.index()] = epoch;
                     stack.push(d);
                 }
             }
         }
+        let mut found = false;
         while let Some(g) = stack.pop() {
             let undetermined =
                 !self.good[g.index()].is_specified() || !self.faulty[g.index()].is_specified();
@@ -512,19 +522,22 @@ impl<'a> Podem<'a> {
                 continue;
             }
             if self.is_d_frontier(g) {
-                return true;
+                found = true;
+                break;
             }
             for &f in self.netlist.gate(g).fanin() {
                 if self.cone[f.index()]
-                    && !seen[f.index()]
+                    && seen[f.index()] != epoch
                     && self.netlist.gate(f).kind().is_combinational()
                 {
-                    seen[f.index()] = true;
+                    seen[f.index()] = epoch;
                     stack.push(f);
                 }
             }
         }
-        false
+        self.xpath_seen = seen;
+        self.xpath_stack = stack;
+        found
     }
 
     #[inline]

@@ -169,6 +169,20 @@ impl ThreadPool {
         self.threads
     }
 
+    /// Splits `items` into at most [`threads`](Self::threads) contiguous
+    /// shares, each a whole number of `unit`-sized chunks (only the last
+    /// chunk of the last share may be short), so one task per share can
+    /// keep per-task state across its chunks while the chunk boundaries
+    /// stay exactly those of `items.chunks(unit)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit == 0`.
+    pub fn shares<'t, T>(&self, items: &'t [T], unit: usize) -> Vec<&'t [T]> {
+        let per_share = items.len().div_ceil(unit).div_ceil(self.threads).max(1);
+        items.chunks(per_share * unit).collect()
+    }
+
     /// Runs `f` with a [`Scope`] that can spawn borrowed work items, then
     /// blocks until every spawned item has finished — helping to execute
     /// queued items while it waits.
@@ -640,6 +654,21 @@ mod tests {
         assert_eq!(started.get() - before, 64);
         // The pool survives and keeps working.
         assert_eq!(pool.map(&[1, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn shares_are_whole_chunks_one_per_thread_at_most() {
+        let items: Vec<usize> = (0..200).collect();
+        for threads in 1..=5 {
+            let pool = ThreadPool::new(threads);
+            for len in [0, 1, 63, 64, 65, 128, 129, 200] {
+                let shares = pool.shares(&items[..len], 64);
+                assert!(shares.len() <= threads, "{threads} threads, {len} items");
+                let chunks: Vec<&[usize]> = shares.iter().flat_map(|s| s.chunks(64)).collect();
+                let want: Vec<&[usize]> = items[..len].chunks(64).collect();
+                assert_eq!(chunks, want, "{threads} threads, {len} items");
+            }
+        }
     }
 
     #[test]

@@ -61,9 +61,11 @@ impl Error for FaultError {}
 ///   (the stitching engine's classify stage shares one good-machine vector
 ///   across hundreds of faulty machines, so most gate evaluations are
 ///   provably redundant — see DESIGN.md §11);
-/// * **slot allocation** — stimuli are packed into the 64 bit-parallel
-///   machines of one sweep, with unused slots mirroring the baseline so they
-///   cause no spurious events;
+/// * **word-level slot I/O** — stimuli are packed into the 64 bit-parallel
+///   machines of one sweep by flipping only the bits where a slot's
+///   stimulus differs from the baseline (unused and unchanged slots mirror
+///   it and cause no events), and outputs are read back from the bits where
+///   an output word differs from the baseline's;
 /// * **batching** — [`run_jobs`](Self::run_jobs) accepts any number of
 ///   machines and splits them into sweeps internally, removing the 64-slot
 ///   ceiling from every caller.
@@ -95,15 +97,31 @@ impl Error for FaultError {}
 pub struct SimSession<'a> {
     view: &'a ScanView,
     psim: ParallelSim<'a>,
+    /// Stimulus words of the next sweep. Between calls every word is the
+    /// broadcast of its `base_stim` bit, so packing only touches the bits
+    /// where a slot's stimulus differs.
     words: Vec<u64>,
+    /// Inputs whose word diverged from the broadcast in the current call.
+    dirty: Vec<usize>,
     injections: Vec<Injection>,
-    /// The broadcast stimulus of the seeded baseline, if any.
-    base_stim: Option<BitVec>,
-    /// The fault-free outputs of the seeded baseline.
+    /// The stimulus of the seeded baseline (all zeros before one is seeded).
+    base_stim: BitVec,
+    /// The fault-free outputs of the seeded baseline (all zeros before one
+    /// is seeded): the reference slot outputs are read against.
     base_outputs: BitVec,
     slot_counter: Counter,
     sweep_counter: Counter,
     baseline_counter: Counter,
+}
+
+/// The 64-slot broadcast of one bit.
+#[inline]
+fn broadcast(bit: bool) -> u64 {
+    if bit {
+        !0
+    } else {
+        0
+    }
 }
 
 impl<'a> SimSession<'a> {
@@ -113,9 +131,10 @@ impl<'a> SimSession<'a> {
             view,
             psim: ParallelSim::new(netlist, view),
             words: vec![0; view.input_count()],
+            dirty: Vec::new(),
             injections: Vec::new(),
-            base_stim: None,
-            base_outputs: BitVec::new(),
+            base_stim: BitVec::zeros(view.input_count()),
+            base_outputs: BitVec::zeros(view.output_count()),
             slot_counter: tvs_exec::counter("fault.slots_simulated"),
             sweep_counter: tvs_exec::counter("fault.sweeps"),
             baseline_counter: tvs_exec::counter("fault.baseline_sweeps"),
@@ -138,6 +157,12 @@ impl<'a> SimSession<'a> {
     ///
     /// [`FaultError::StimulusLength`] if `stimulus` does not match the view.
     pub fn baseline(&mut self, stimulus: &BitVec) -> Result<BitVec, FaultError> {
+        self.seed(stimulus)?;
+        Ok(self.base_outputs.clone())
+    }
+
+    /// [`baseline`](Self::baseline) without returning the outputs.
+    fn seed(&mut self, stimulus: &BitVec) -> Result<(), FaultError> {
         if stimulus.len() != self.view.input_count() {
             return Err(FaultError::StimulusLength {
                 slot: 0,
@@ -145,17 +170,19 @@ impl<'a> SimSession<'a> {
                 want: self.view.input_count(),
             });
         }
-        if self.base_stim.as_ref() == Some(stimulus) && self.psim.has_baseline() {
-            return Ok(self.base_outputs.clone());
+        if self.psim.has_baseline() && self.base_stim == *stimulus {
+            return Ok(());
         }
-        for (i, bit) in stimulus.iter().enumerate() {
-            self.words[i] = if bit { !0u64 } else { 0 };
+        for (w, bit) in self.words.iter_mut().zip(stimulus.iter()) {
+            *w = broadcast(bit);
         }
         self.psim.seed_baseline(&self.words, &[]);
         self.baseline_counter.incr();
-        self.base_stim = Some(stimulus.clone());
-        self.base_outputs = self.psim.output_slot(0);
-        Ok(self.base_outputs.clone())
+        self.base_stim.clone_from(stimulus);
+        for (o, &w) in self.psim.output_words().iter().enumerate() {
+            self.base_outputs.set(o, w & 1 == 1);
+        }
+        Ok(())
     }
 
     /// Simulates up to 64 independent machines in one sweep and returns each
@@ -185,38 +212,59 @@ impl<'a> SimSession<'a> {
             }
         }
 
-        // Slot packing: start every word from the baseline broadcast (zeros
-        // without one) so unused and unchanged slots generate no events.
-        match &self.base_stim {
-            Some(base) => {
-                for (i, bit) in base.iter().enumerate() {
-                    self.words[i] = if bit { !0u64 } else { 0 };
-                }
-            }
-            None => self.words.fill(0),
-        }
+        // Slot packing: flip slot `s` of input `i` only where the slot's
+        // stimulus differs from the baseline bit the word broadcasts.
         self.injections.clear();
         for (s, spec) in slots.iter().enumerate() {
-            for (i, bit) in spec.stimulus.iter().enumerate() {
-                if ((self.words[i] >> s) & 1 == 1) != bit {
-                    self.words[i] ^= 1u64 << s;
+            let bit = 1u64 << s;
+            if let Some(fault) = spec.fault {
+                self.injections.push(fault.injection(bit));
+            }
+            let pairs = spec.stimulus.words().iter().zip(self.base_stim.words());
+            for (wi, (&w, &b)) in pairs.enumerate() {
+                let mut diff = w ^ b;
+                while diff != 0 {
+                    let i = wi * 64 + diff.trailing_zeros() as usize;
+                    diff &= diff - 1;
+                    self.words[i] ^= bit;
+                    self.dirty.push(i);
                 }
             }
-            if let Some(fault) = spec.fault {
-                self.injections.push(fault.injection(1u64 << s));
+        }
+        self.sweep(slots.len());
+
+        // Slot unpacking: every slot starts as the baseline outputs and
+        // flips the outputs whose word differs from the baseline's in it.
+        // Unused slots are masked off: without a seeded baseline they run
+        // the all-zero stimulus, whose outputs need not be all zero.
+        let live = match slots.len() {
+            64 => !0,
+            n => (1u64 << n) - 1,
+        };
+        let mut outs: Vec<BitVec> = slots.iter().map(|_| self.base_outputs.clone()).collect();
+        for (o, &w) in self.psim.output_words().iter().enumerate() {
+            let mut diff = (w ^ broadcast(self.base_outputs.get(o))) & live;
+            while diff != 0 {
+                outs[diff.trailing_zeros() as usize].flip(o);
+                diff &= diff - 1;
             }
         }
+        Ok(outs)
+    }
 
+    /// One sweep over the packed `words` and `injections`, then restores
+    /// `words` to the baseline broadcast.
+    fn sweep(&mut self, slot_count: usize) {
         if self.psim.has_baseline() {
             self.psim.eval_incremental(&self.words, &self.injections);
         } else {
             self.psim.eval(&self.words, &self.injections);
         }
-        self.slot_counter.add(slots.len() as u64);
+        for i in self.dirty.drain(..) {
+            self.words[i] = broadcast(self.base_stim.get(i));
+        }
+        self.slot_counter.add(slot_count as u64);
         self.sweep_counter.incr();
-        Ok((0..slots.len() as u32)
-            .map(|s| self.psim.output_slot(s))
-            .collect())
     }
 
     /// Simulates any number of machines, batching them into 64-slot sweeps
@@ -246,24 +294,30 @@ impl<'a> SimSession<'a> {
     /// machine.
     ///
     /// The shared stimulus becomes (or reuses) the session baseline, so each
-    /// 64-fault sweep only re-evaluates the injection cones.
+    /// 64-fault sweep only re-evaluates the injection cones, and a fault's
+    /// verdict is its slot of the OR over all outputs of `output_word ^
+    /// good_broadcast`.
     ///
     /// # Errors
     ///
     /// [`FaultError::StimulusLength`] if `stimulus` does not match the view.
     pub fn detect(&mut self, stimulus: &BitVec, faults: &[Fault]) -> Result<Vec<bool>, FaultError> {
-        let good = self.baseline(stimulus)?;
+        self.seed(stimulus)?;
         let mut detected = Vec::with_capacity(faults.len());
         for chunk in faults.chunks(64) {
-            let slots: Vec<SlotSpec<'_>> = chunk
-                .iter()
-                .map(|&f| SlotSpec {
-                    stimulus,
-                    fault: Some(f),
-                })
-                .collect();
-            let outs = self.run_slots(&slots)?;
-            detected.extend(outs.iter().map(|out| out != &good));
+            self.injections.clear();
+            self.injections.extend(
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(s, f)| f.injection(1u64 << s)),
+            );
+            self.sweep(chunk.len());
+            let mut hits = 0u64;
+            for (o, &w) in self.psim.output_words().iter().enumerate() {
+                hits |= w ^ broadcast(self.base_outputs.get(o));
+            }
+            detected.extend((0..chunk.len()).map(|s| (hits >> s) & 1 == 1));
         }
         Ok(detected)
     }

@@ -136,8 +136,8 @@ impl<'a> FaultSim<'a> {
     }
 }
 
-/// Parallel [`FaultSim::detect`]: shards `faults` into 63-fault words (the
-/// same batching the sequential path uses, one good slot per sweep), fans
+/// Parallel [`FaultSim::detect`]: shards `faults` into 63-fault sweeps
+/// (each compared against its session's cached fault-free baseline), fans
 /// the shards out over `pool`, and concatenates the per-shard detection
 /// flags in fault-index order.
 ///

@@ -138,18 +138,74 @@ impl BitVec {
         range.into_iter().any(|i| self.get(i) != other.get(i))
     }
 
+    /// Flips the bit at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    #[inline]
+    pub fn flip(&mut self, index: usize) {
+        assert!(
+            index < self.len,
+            "bit index {index} out of range {}",
+            self.len
+        );
+        self.words[index / 64] ^= 1u64 << (index % 64);
+    }
+
+    /// The backing words: bit `i` is bit `i % 64` of word `i / 64`, and the
+    /// bits past `len()` in the last word are always zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Appends every bit of `other`, a word at a time.
+    pub fn append(&mut self, other: &BitVec) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &w in &other.words {
+                if let Some(last) = self.words.last_mut() {
+                    *last |= w << shift;
+                }
+                self.words.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
     /// Extracts `range` as a new bit vector, preserving bit order.
     ///
     /// The canonical slicing helper for the toolkit's stimulus/response
     /// plumbing (splitting a test vector into its PI and scan-chain parts,
-    /// or a response into PO and captured-chain parts).
+    /// or a response into PO and captured-chain parts). Works a word at a
+    /// time: each output word is two shifted source words.
     ///
     /// # Panics
     ///
     /// Panics if `range.end > len()`.
     pub fn slice(&self, range: std::ops::Range<usize>) -> BitVec {
         assert!(range.end <= self.len, "slice range out of bounds");
-        range.map(|i| self.get(i)).collect()
+        let len = range.end.saturating_sub(range.start);
+        let (first, shift) = (range.start / 64, range.start % 64);
+        let mut words: Vec<u64> = (0..len.div_ceil(64))
+            .map(|j| {
+                let lo = self.words[first + j] >> shift;
+                match self.words.get(first + j + 1) {
+                    Some(&hi) if shift != 0 => lo | hi << (64 - shift),
+                    _ => lo,
+                }
+            })
+            .collect();
+        if let Some(last) = words.last_mut() {
+            if !len.is_multiple_of(64) {
+                *last &= (1u64 << (len % 64)) - 1;
+            }
+        }
+        BitVec { words, len }
     }
 
     /// Extracts `range` with the bit order reversed: the *last* bit of the
@@ -309,6 +365,51 @@ mod tests {
         let fwd: Vec<bool> = a.slice(1..5).iter().collect();
         let rev: Vec<bool> = a.rev_slice(1..5).iter().collect();
         assert_eq!(rev, fwd.into_iter().rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn slice_matches_get_at_word_boundaries() {
+        let mut rng = Prng::seed_from_u64(0xB177);
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 200, 256] {
+            let bv: BitVec = (0..len).map(|_| rng.next_bool()).collect();
+            let mut ends = vec![0, 1, 62, 63, 64, 65, 127, 128, 129, 192, len];
+            ends.retain(|&e| e <= len);
+            for &start in &ends {
+                for &end in &ends {
+                    let got = bv.slice(start..end);
+                    let want: BitVec = (start..end.max(start)).map(|i| bv.get(i)).collect();
+                    assert_eq!(got, want, "len {len}, {start}..{end}");
+                    assert_eq!(got.len(), end.saturating_sub(start));
+                }
+            }
+            assert_eq!(bv.slice(0..len), bv, "full range of {len}");
+        }
+    }
+
+    #[test]
+    fn append_matches_bitwise_extend() {
+        let mut rng = Prng::seed_from_u64(0xB178);
+        for a_len in [0usize, 1, 63, 64, 65, 130] {
+            for b_len in [0usize, 1, 63, 64, 65, 130] {
+                let a: BitVec = (0..a_len).map(|_| rng.next_bool()).collect();
+                let b: BitVec = (0..b_len).map(|_| rng.next_bool()).collect();
+                let mut got = a.clone();
+                got.append(&b);
+                let mut want = a.clone();
+                want.extend(b.iter());
+                assert_eq!(got, want, "{a_len} + {b_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn flip_toggles_one_bit() {
+        let mut bv = BitVec::zeros(70);
+        bv.flip(65);
+        assert!(bv.get(65));
+        assert_eq!(bv.count_ones(), 1);
+        bv.flip(65);
+        assert_eq!(bv, BitVec::zeros(70));
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub struct ScanView {
     /// topological order.
     cone_index: Vec<u32>,
     cone_data: Vec<GateId>,
+    /// For each gate (dense index): its combinational-input index, or
+    /// `u32::MAX` for a gate that is neither a PI nor a PPI.
+    input_of: Vec<u32>,
 }
 
 impl ScanView {
@@ -157,6 +160,13 @@ impl ScanView {
             cone_index.push(cone_data.len() as u32);
         }
 
+        let mut input_of = vec![u32::MAX; n];
+        for (i, g) in netlist.inputs.iter().chain(&netlist.dffs).enumerate() {
+            if input_of[g.index()] == u32::MAX {
+                input_of[g.index()] = i as u32;
+            }
+        }
+
         Ok(ScanView {
             pis: netlist.inputs.clone(),
             ppis: netlist.dffs.clone(),
@@ -168,6 +178,7 @@ impl ScanView {
             cf_data,
             cone_index,
             cone_data,
+            input_of,
         })
     }
 
@@ -308,12 +319,10 @@ impl ScanView {
 
     /// The combinational-input index of a gate if it is a PI or PPI.
     pub fn input_index_of(&self, id: GateId) -> Option<usize> {
-        self.pis.iter().position(|&g| g == id).or_else(|| {
-            self.ppis
-                .iter()
-                .position(|&g| g == id)
-                .map(|p| p + self.pis.len())
-        })
+        match self.input_of.get(id.index()) {
+            Some(&i) if i != u32::MAX => Some(i as usize),
+            _ => None,
+        }
     }
 }
 
@@ -371,6 +380,9 @@ mod tests {
         let v = n.scan_view().unwrap();
         assert_eq!(v.input_index_of(n.find("b").unwrap()), Some(1));
         assert_eq!(v.input_index_of(n.find("F").unwrap()), None);
+        for i in 0..v.input_count() {
+            assert_eq!(v.input_index_of(v.input_gate(i)), Some(i));
+        }
     }
 
     #[test]

@@ -79,6 +79,9 @@ pub struct ParallelSim<'a> {
     /// Gates whose `words` entry diverged from `base_words` in the last
     /// incremental sweep — the set to restore before the next one.
     base_dirty: Vec<GateId>,
+    /// Sources whose effective word differs from the baseline in the
+    /// current incremental sweep (kept across calls to reuse its buffer).
+    changed: Vec<(GateId, u64)>,
     /// Dense per-gate "already enqueued" flag for the event worklist.
     queued: Vec<bool>,
     /// Level-indexed worklist buckets (index = topological level).
@@ -102,6 +105,7 @@ impl<'a> ParallelSim<'a> {
             base_valid: false,
             base_inj_gates: Vec::new(),
             base_dirty: Vec::new(),
+            changed: Vec::new(),
             queued: vec![false; netlist.gate_count()],
             buckets: vec![Vec::new(); view.depth() as usize + 1],
             gates_evaluated: tvs_exec::counter("sim.gates_evaluated"),
@@ -209,7 +213,8 @@ impl<'a> ParallelSim<'a> {
         // the estimate; injection cones are small and the bound stays a
         // heuristic for choosing the cheaper mode, never a correctness
         // input.)
-        let mut changed: Vec<(GateId, u64)> = Vec::new();
+        let mut changed = std::mem::take(&mut self.changed);
+        changed.clear();
         let mut cone_bound = 0usize;
         for (i, &w) in input_words.iter().enumerate() {
             let gate = self.view.input_gate(i);
@@ -224,10 +229,11 @@ impl<'a> ParallelSim<'a> {
         if cone_bound >= total {
             // Full-sweep fallback, still tracking divergence from the
             // baseline so the next incremental call can restore it.
-            for (gate, eff) in changed {
+            for &(gate, eff) in &changed {
                 self.words[gate.index()] = eff;
                 self.base_dirty.push(gate);
             }
+            self.changed = changed;
             for &id in self.view.order() {
                 let out = self.gate_word(id);
                 if out != self.base_words[id.index()] {
@@ -247,6 +253,7 @@ impl<'a> ParallelSim<'a> {
             self.base_dirty.push(gate);
             self.enqueue_fanout(gate);
         }
+        self.changed = changed;
         for inj in injections {
             if self.netlist.gate(inj.gate).kind().is_combinational() {
                 self.enqueue(inj.gate);
@@ -388,6 +395,12 @@ impl<'a> ParallelSim<'a> {
     /// Panics if `o >= view.output_count()`.
     pub fn output_word(&self, o: usize) -> u64 {
         self.outputs[o]
+    }
+
+    /// The 64-slot values of all combinational outputs (POs then PPOs), as
+    /// [`output_word`](Self::output_word) reads them one at a time.
+    pub fn output_words(&self) -> &[u64] {
+        &self.outputs
     }
 
     /// Extracts one slot of the outputs as a [`BitVec`] (POs then PPOs).

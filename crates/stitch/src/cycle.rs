@@ -12,10 +12,11 @@ use crate::state::RunState;
 use crate::{Classification, CycleRecord};
 
 impl RunState<'_, '_> {
-    /// Simulates `(stimulus, fault)` jobs, outputs in job order: the
+    /// Simulates `(stimulus, fault)` jobs, outputs in job order, each `None`
+    /// where it equals the good machine's outputs for `baseline`: the
     /// persistent session at `threads <= 1` (incremental against the seeded
-    /// cycle baseline), the pooled fan-out otherwise (each worker seeds its
-    /// own session with `baseline` and sweeps incrementally from there).
+    /// cycle baseline), the pooled fan-out otherwise (each worker share seeds
+    /// one session with `baseline` and sweeps incrementally from there).
     /// Both paths compute the same pure function of the jobs, and both
     /// degrade to the same deterministic [`TaskPanic`] when a worker dies —
     /// the lowest-index failure wins at any thread count.
@@ -23,7 +24,7 @@ impl RunState<'_, '_> {
         &mut self,
         jobs: &[(&BitVec, Fault)],
         baseline: &BitVec,
-    ) -> Result<Vec<BitVec>, TaskPanic> {
+    ) -> Result<Vec<Option<BitVec>>, TaskPanic> {
         // The injection decision is taken here on the caller side, so the
         // sequential hit counter advances identically at any thread count;
         // the parallel path then realizes it as a genuine worker panic.
@@ -35,17 +36,7 @@ impl RunState<'_, '_> {
                     message: inject::panic_message("stitch.sim.batch"),
                 });
             }
-            let slots: Vec<SlotSpec<'_>> = jobs
-                .iter()
-                .map(|&(stim, f)| SlotSpec {
-                    stimulus: stim,
-                    fault: Some(f),
-                })
-                .collect();
-            match self.session.run_jobs(&slots) {
-                Ok(outs) => Ok(outs),
-                Err(_) => unreachable!("engine stimuli always match the scan view"),
-            }
+            Ok(differing_outputs(&mut self.session, baseline, jobs))
         } else {
             batch_outputs(
                 &self.pool,
@@ -126,7 +117,7 @@ impl RunState<'_, '_> {
                 newly_caught += 1;
             } else {
                 let mut stim = vector.slice(0..p);
-                stim.extend(sh.new_image.iter());
+                stim.append(&sh.new_image);
                 live_hidden.push((idx, stim));
             }
         }
@@ -137,6 +128,7 @@ impl RunState<'_, '_> {
         self.budget.charge(hidden_jobs.len() as u64);
         let outs = self.batch(&hidden_jobs, vector)?;
         for ((idx, stim), out) in live_hidden.iter().zip(&outs) {
+            let out = out.as_ref().unwrap_or(&good_out);
             let f_po = out.slice(0..q);
             let f_resp = out.slice(q..q + l);
             let f_chain_tv = stim.slice(p..p + l);
@@ -161,6 +153,7 @@ impl RunState<'_, '_> {
         self.budget.charge(uncaught_jobs.len() as u64 + 1);
         let outs = self.batch(&uncaught_jobs, vector)?;
         for (&idx, out) in uncaught.iter().zip(&outs) {
+            let out = out.as_ref().unwrap_or(&good_out);
             let f_po = out.slice(0..q);
             let f_resp = out.slice(q..q + l);
             let image = self.cfg.capture.capture(&chain_tv, &f_resp);
@@ -193,13 +186,34 @@ impl RunState<'_, '_> {
     }
 }
 
-/// Simulates `(stimulus, fault)` jobs in 64-slot batches fanned out over
-/// the pool, returning the faulty outputs in job order. Every batch builds
-/// its own session seeded with the cycle's `baseline` vector, so each sweep
-/// is incremental yet outputs stay independent of batching and thread
-/// count. With `boom` set (an armed `stitch.sim.batch` injection), the
-/// first chunk's worker panics; the captured [`TaskPanic`] then matches the
-/// sequential path's bit for bit.
+/// Simulates `(stimulus, fault)` jobs fanned out over `pool`: the pooled
+/// simulation the apply stage runs every cycle at `threads > 1`. Returns
+/// each job's outputs (POs then PPOs) in job order, or `None` where they
+/// equal the good machine's outputs for `baseline`.
+///
+/// The jobs are split into one contiguous share of whole 64-job chunks per
+/// pool thread ([`ThreadPool::shares`]); each share seeds one session with
+/// the cycle's `baseline` vector and sweeps its chunks through it. So every
+/// sweep is incremental, there is one baseline sweep per share, and the
+/// outputs are independent of the split and of thread count.
+///
+/// # Errors
+///
+/// A [`TaskPanic`] (lowest share index) if a worker panics.
+pub fn simulate_batch(
+    pool: &ThreadPool,
+    netlist: &Netlist,
+    view: &ScanView,
+    baseline: &BitVec,
+    jobs: &[(&BitVec, Fault)],
+) -> Result<Vec<Option<BitVec>>, TaskPanic> {
+    batch_outputs(pool, netlist, view, baseline, jobs, false)
+}
+
+/// [`simulate_batch`] with an optional injected panic: with `boom` set (an
+/// armed `stitch.sim.batch` injection), the first share's worker panics;
+/// the captured [`TaskPanic`] then matches the sequential path's bit for
+/// bit.
 fn batch_outputs(
     pool: &ThreadPool,
     netlist: &Netlist,
@@ -207,30 +221,47 @@ fn batch_outputs(
     baseline: &BitVec,
     jobs: &[(&BitVec, Fault)],
     boom: bool,
-) -> Result<Vec<BitVec>, TaskPanic> {
-    let chunks: Vec<&[(&BitVec, Fault)]> = jobs.chunks(64).collect();
-    Ok(pool
-        .try_map(&chunks, |i, chunk| {
-            if boom && i == 0 {
-                inject::panic_now("stitch.sim.batch");
-            }
-            let mut session = SimSession::new(netlist, view);
-            let slots: Vec<SlotSpec<'_>> = chunk
-                .iter()
-                .map(|&(stim, f)| SlotSpec {
-                    stimulus: stim,
-                    fault: Some(f),
-                })
-                .collect();
-            match session
-                .baseline(baseline)
-                .and_then(|_| session.run_slots(&slots))
-            {
-                Ok(outs) => outs,
-                Err(_) => unreachable!("engine stimuli always match the scan view"),
-            }
-        })?
-        .into_iter()
-        .flatten()
-        .collect())
+) -> Result<Vec<Option<BitVec>>, TaskPanic> {
+    let shares = pool.try_map(&pool.shares(jobs, 64), |i, share| {
+        if boom && i == 0 {
+            inject::panic_now("stitch.sim.batch");
+        }
+        differing_outputs(&mut SimSession::new(netlist, view), baseline, share)
+    })?;
+    let mut outs = Vec::with_capacity(jobs.len());
+    for share in shares {
+        outs.extend(share);
+    }
+    Ok(outs)
+}
+
+/// Seeds `session` with `baseline` (free if already seeded), runs `jobs`
+/// through it in 64-job sweeps, and keeps each job's outputs only where
+/// they differ from the good machine's. Most of a cycle's machines match
+/// the good one, so this keeps a batch's memory near one sweep's outputs
+/// however many faults are live.
+fn differing_outputs(
+    session: &mut SimSession<'_>,
+    baseline: &BitVec,
+    jobs: &[(&BitVec, Fault)],
+) -> Vec<Option<BitVec>> {
+    let good = match session.baseline(baseline) {
+        Ok(good) => good,
+        Err(_) => unreachable!("engine stimuli always match the scan view"),
+    };
+    let mut outs = Vec::with_capacity(jobs.len());
+    for chunk in jobs.chunks(64) {
+        let slots: Vec<SlotSpec<'_>> = chunk
+            .iter()
+            .map(|&(stim, f)| SlotSpec {
+                stimulus: stim,
+                fault: Some(f),
+            })
+            .collect();
+        match session.run_slots(&slots) {
+            Ok(sweep) => outs.extend(sweep.into_iter().map(|out| (out != good).then_some(out))),
+            Err(_) => unreachable!("engine stimuli always match the scan view"),
+        }
+    }
+    outs
 }

@@ -41,6 +41,7 @@ mod vector;
 
 pub use classify::Classification;
 pub use config::StitchConfig;
+pub use cycle::simulate_batch;
 pub use engine::StitchEngine;
 pub use metrics::{CompressionMetrics, CycleRecord};
 pub use policy::{Ratio, ShiftPolicy};

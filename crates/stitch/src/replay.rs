@@ -146,7 +146,7 @@ impl StitchEngine<'_> {
                     let sh_f = self.chain.shift(&images[f], &incoming, config.observe);
                     shift_caught.push(sh_f.observed != sh_good.observed);
                     let mut stim = vector.slice(0..p);
-                    stim.extend(sh_f.new_image.iter());
+                    stim.append(&sh_f.new_image);
                     stimuli.push(stim);
                 }
             }

@@ -485,18 +485,24 @@ impl<'r, 'a> RunState<'r, 'a> {
         let (netlist, view) = (self.eng.netlist, &self.eng.view);
         // Each verdict comes back with its backtrack count so the budget
         // charge reduces on the caller side, in fault order — deterministic
-        // at any thread count.
-        let live_verdicts: Vec<(PodemResult, u32)> = self
+        // at any thread count. Test cubes are dropped in the worker: kept
+        // until the merge, one input-width cube per testable fault would
+        // dominate the run's peak memory.
+        let live_verdicts: Vec<(PodemVerdict, u32)> = self
             .pool
             .try_map(&chunks, |_, chunk| {
                 let mut prover = Podem::with_config(netlist, view, deep);
                 chunk
                     .iter()
                     .map(|&fault| {
-                        let verdict = prover.generate(fault, &free);
-                        (verdict, prover.last_backtracks())
+                        let kind = match prover.generate(fault, &free) {
+                            PodemResult::Test(_) => PodemVerdict::Test,
+                            PodemResult::Untestable => PodemVerdict::Untestable,
+                            PodemResult::Aborted => PodemVerdict::Aborted,
+                        };
+                        (kind, prover.last_backtracks())
                     })
-                    .collect::<Vec<(PodemResult, u32)>>()
+                    .collect::<Vec<(PodemVerdict, u32)>>()
             })
             .map_err(|panic| StitchError::WorkerPanic {
                 message: panic.message,
@@ -504,13 +510,8 @@ impl<'r, 'a> RunState<'r, 'a> {
             .into_iter()
             .flatten()
             .collect();
-        for (&slot, (result, backtracks)) in live_at.iter().zip(live_verdicts) {
-            let kind = match result {
-                PodemResult::Test(_) => PodemVerdict::Test,
-                PodemResult::Untestable => PodemVerdict::Untestable,
-                PodemResult::Aborted => PodemVerdict::Aborted,
-            };
-            verdict_at[slot] = Some((kind, backtracks));
+        for (&slot, verdict) in live_at.iter().zip(live_verdicts) {
+            verdict_at[slot] = Some(verdict);
         }
         let mut verdicts = verdict_at.into_iter();
         for (i, &fault) in faults.iter().enumerate() {

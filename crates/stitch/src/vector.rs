@@ -257,19 +257,21 @@ impl ScoreCtx<'_> {
         if !self.hidden.is_empty() {
             let chain_tv = bits.slice(self.p..self.p + self.l);
             let incoming = chain_tv.rev_slice(0..self.k);
-            let mut stimuli: Vec<BitVec> = Vec::with_capacity(self.hidden.len());
-            for (_, image) in self.hidden {
-                let sh = self.chain.shift(image, &incoming, self.observe);
-                let mut stim = bits.slice(0..self.p);
-                stim.extend(sh.new_image.iter());
-                stimuli.push(stim);
-            }
-            for (chunk_i, chunk) in self.hidden.chunks(63).enumerate() {
+            for chunk in self.hidden.chunks(63) {
+                let stimuli: Vec<BitVec> = chunk
+                    .iter()
+                    .map(|(_, image)| {
+                        let sh = self.chain.shift(image, &incoming, self.observe);
+                        let mut stim = bits.slice(0..self.p);
+                        stim.append(&sh.new_image);
+                        stim
+                    })
+                    .collect();
                 let slots: Vec<SlotSpec<'_>> = chunk
                     .iter()
-                    .enumerate()
-                    .map(|(j, &(fault, _))| SlotSpec {
-                        stimulus: &stimuli[chunk_i * 63 + j],
+                    .zip(&stimuli)
+                    .map(|(&(fault, _), stimulus)| SlotSpec {
+                        stimulus,
                         fault: Some(fault),
                     })
                     .collect();
