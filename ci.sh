@@ -18,6 +18,15 @@ case "$PERF_LAST" in
   *) echo "perfbench chain-s13207 digest mismatch: $PERF_LAST" >&2; exit 1 ;;
 esac
 
+# The same pin for the PODEM-bound workload: a cold full-size s5378 run
+# (about 14 s) must reproduce its pinned report digest.
+PERF_LAST=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload cold-s5378 --seed 1 --seconds 0 --trace 0 | tail -n 1)
+case "$PERF_LAST" in
+  *'"correct":true'*) ;;
+  *) echo "perfbench cold-s5378 digest mismatch: $PERF_LAST" >&2; exit 1 ;;
+esac
+
 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

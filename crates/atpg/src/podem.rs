@@ -118,8 +118,16 @@ pub struct Podem<'a> {
     config: PodemConfig,
     good: Vec<Logic>,
     faulty: Vec<Logic>,
+    /// Fault-free implication of the constraint cube `implied_for`: the
+    /// good plane every call under that cube starts from.
+    implied: Vec<Logic>,
+    implied_for: Option<Cube>,
+    /// Position of each combinational gate in `view.order()`.
+    order_pos: Vec<u32>,
     /// Gates reachable from the current fault site.
     cone: Vec<bool>,
+    /// The cone's combinational gates, in `view.order()` order.
+    cone_order: Vec<GateId>,
     /// Output indices whose driver lies in the cone.
     cone_outputs: Vec<usize>,
     /// Level-bucketed event queue.
@@ -131,7 +139,8 @@ pub struct Podem<'a> {
     /// `xpath_seen[g] == xpath_epoch`, so no walk clears or allocates it.
     xpath_seen: Vec<u32>,
     xpath_epoch: u32,
-    xpath_stack: Vec<GateId>,
+    /// Scratch stack of the cone and X-path walks.
+    walk_stack: Vec<GateId>,
     backtrack_counter: tvs_exec::Counter,
     last_backtracks: u32,
 }
@@ -145,6 +154,10 @@ impl<'a> Podem<'a> {
     /// Creates a generator with an explicit configuration.
     pub fn with_config(netlist: &'a Netlist, view: &'a ScanView, config: PodemConfig) -> Self {
         let n = netlist.gate_count();
+        let mut order_pos = vec![u32::MAX; n];
+        for (i, &g) in view.order().iter().enumerate() {
+            order_pos[g.index()] = i as u32;
+        }
         Podem {
             netlist,
             view,
@@ -152,7 +165,11 @@ impl<'a> Podem<'a> {
             config,
             good: vec![Logic::X; n],
             faulty: vec![Logic::X; n],
+            implied: vec![Logic::X; n],
+            implied_for: None,
+            order_pos,
             cone: vec![false; n],
+            cone_order: Vec::new(),
             cone_outputs: Vec::new(),
             buckets: vec![Vec::new(); view.depth() as usize + 2],
             queued: vec![false; n],
@@ -160,7 +177,7 @@ impl<'a> Podem<'a> {
             scratch: Vec::new(),
             xpath_seen: vec![0; n],
             xpath_epoch: 0,
-            xpath_stack: Vec::new(),
+            walk_stack: Vec::new(),
             backtrack_counter: tvs_exec::counter("atpg.backtracks"),
             last_backtracks: 0,
         }
@@ -224,13 +241,7 @@ impl<'a> Podem<'a> {
             return PodemResult::Aborted;
         }
         self.reset(fault, observable);
-
-        // Pre-assign pinned bits.
-        for (i, v) in constraint.iter().enumerate() {
-            if let Some(bit) = v.to_bool() {
-                self.assign(i, Logic::from(bit));
-            }
-        }
+        self.imply_pins(constraint);
 
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0u32;
@@ -286,6 +297,25 @@ impl<'a> Podem<'a> {
         result
     }
 
+    /// The (good, faulty) value planes, indexed by gate, right after the
+    /// pinned bits of `constraint` are implied for `fault`, before any
+    /// decision. Exposed for the setup equivalence test only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `constraint.len() != view.input_count()`.
+    #[doc(hidden)]
+    pub fn implied_planes(&mut self, fault: Fault, constraint: &Cube) -> (&[Logic], &[Logic]) {
+        assert_eq!(
+            constraint.len(),
+            self.view.input_count(),
+            "constraint length must match the scan view"
+        );
+        self.reset(fault, None);
+        self.imply_pins(constraint);
+        (&self.good, &self.faulty)
+    }
+
     /// The fault installed by `reset` for the `generate` call in progress.
     fn active_fault(&self) -> Fault {
         // Structurally unreachable outside a generate call: `reset` installs
@@ -294,26 +324,41 @@ impl<'a> Podem<'a> {
     }
 
     fn reset(&mut self, fault: Fault, observable: Option<&[bool]>) {
-        self.good.fill(Logic::X);
-        self.faulty.fill(Logic::X);
+        // The previous cone is its fault site plus its combinational gates.
+        if let Some(prev) = self.fault {
+            self.cone[prev.site.gate.index()] = false;
+        }
+        for &g in &self.cone_order {
+            self.cone[g.index()] = false;
+        }
+        self.cone_order.clear();
         self.fault = Some(fault);
 
         // Influence cone of the fault site.
-        self.cone.fill(false);
-        self.cone_outputs.clear();
         let seed = fault.site.gate;
-        let mut stack = vec![seed];
+        let mut stack = std::mem::take(&mut self.walk_stack);
+        stack.clear();
+        stack.push(seed);
         self.cone[seed.index()] = true;
+        if self.netlist.gate(seed).kind().is_combinational() {
+            self.cone_order.push(seed);
+        }
         while let Some(g) = stack.pop() {
             for &(consumer, _) in self.netlist.fanout(g) {
                 if !self.cone[consumer.index()]
                     && self.netlist.gate(consumer).kind().is_combinational()
                 {
                     self.cone[consumer.index()] = true;
+                    self.cone_order.push(consumer);
                     stack.push(consumer);
                 }
             }
         }
+        self.walk_stack = stack;
+        let order_pos = &self.order_pos;
+        self.cone_order
+            .sort_unstable_by_key(|g| order_pos[g.index()]);
+        self.cone_outputs.clear();
         for o in 0..self.view.output_count() {
             if let Some(flags) = observable {
                 if !flags[o] {
@@ -330,10 +375,56 @@ impl<'a> Podem<'a> {
                 self.cone_outputs.push(o);
             }
         }
+    }
+
+    /// Pre-assigns the pinned bits of `constraint` on both planes, leaving
+    /// the exact state that assigning them one at a time (each assignment
+    /// an event-driven propagation) would leave.
+    ///
+    /// The good plane does not depend on the fault, so it is implied once
+    /// per constraint cube and cached. Outside the fault's cone the faulty
+    /// plane equals the good plane; inside it, the faulty plane is
+    /// re-evaluated in `view.order()` order under the event rule: a gate holds a
+    /// value only if some fanin raised an event, i.e. is a pinned input or
+    /// a gate no longer at (X, X). A stem fault on an unpinned source gets
+    /// its stuck faulty value but raises no event.
+    fn imply_pins(&mut self, constraint: &Cube) {
+        if self.implied_for.as_ref() != Some(constraint) {
+            self.implied.fill(Logic::X);
+            for (i, v) in constraint.iter().enumerate() {
+                self.implied[self.view.input_gate(i).index()] = v;
+            }
+            for &g in self.view.order() {
+                let gate = self.netlist.gate(g);
+                self.scratch.clear();
+                self.scratch
+                    .extend(gate.fanin().iter().map(|f| self.implied[f.index()]));
+                self.implied[g.index()] = if self.scratch.iter().any(|v| v.is_specified()) {
+                    gate.kind().eval(&self.scratch)
+                } else {
+                    Logic::X
+                };
+            }
+            self.implied_for = Some(constraint.clone());
+        }
+        self.good.copy_from_slice(&self.implied);
+        self.faulty.copy_from_slice(&self.implied);
+
+        let fault = self.active_fault();
+        let site = fault.site.gate;
         // The faulty value at a stem fault site on a *source* gate is pinned
         // immediately (sources are not re-evaluated by propagation).
-        if fault.site.pin.is_none() && self.view.input_index_of(fault.site.gate).is_some() {
-            self.faulty[fault.site.gate.index()] = stuck_logic(fault);
+        if fault.site.pin.is_none() && self.view.input_index_of(site).is_some() {
+            self.faulty[site.index()] = stuck_logic(fault);
+        }
+        for k in 0..self.cone_order.len() {
+            let g = self.cone_order[k];
+            let fired = self.netlist.gate(g).fanin().iter().any(|&f| {
+                self.good[f.index()].is_specified()
+                    || (self.faulty[f.index()].is_specified()
+                        && self.view.input_index_of(f).is_none())
+            });
+            self.faulty[g.index()] = if fired { self.eval_faulty(g) } else { Logic::X };
         }
     }
 
@@ -379,12 +470,19 @@ impl<'a> Podem<'a> {
 
     fn eval_gate(&mut self, g: GateId) -> (Logic, Logic) {
         let gate = self.netlist.gate(g);
-        let fault = self.active_fault();
         self.scratch.clear();
         self.scratch
             .extend(gate.fanin().iter().map(|&f| self.good[f.index()]));
         let ng = gate.kind().eval(&self.scratch);
+        (ng, self.eval_faulty(g))
+    }
 
+    fn eval_faulty(&mut self, g: GateId) -> Logic {
+        let gate = self.netlist.gate(g);
+        let fault = self.active_fault();
+        if fault.site.pin.is_none() && fault.site.gate == g {
+            return stuck_logic(fault);
+        }
         self.scratch.clear();
         for (pin, &f) in gate.fanin().iter().enumerate() {
             let v = if fault.site.pin == Some(pin as u32) && fault.site.gate == g {
@@ -394,11 +492,7 @@ impl<'a> Podem<'a> {
             };
             self.scratch.push(v);
         }
-        let mut nf = gate.kind().eval(&self.scratch);
-        if fault.site.pin.is_none() && fault.site.gate == g {
-            nf = stuck_logic(fault);
-        }
-        (ng, nf)
+        gate.kind().eval(&self.scratch)
     }
 
     fn output_pair(&self, o: usize) -> (Logic, Logic) {
@@ -479,11 +573,7 @@ impl<'a> Podem<'a> {
     }
 
     fn d_frontier_empty(&self) -> bool {
-        !self
-            .view
-            .order()
-            .iter()
-            .any(|&g| self.cone[g.index()] && self.is_d_frontier(g))
+        !self.cone_order.iter().any(|&g| self.is_d_frontier(g))
     }
 
     /// X-path check: from some D-frontier gate there must be a chain of
@@ -500,7 +590,7 @@ impl<'a> Podem<'a> {
         }
         let epoch = self.xpath_epoch;
         let mut seen = std::mem::take(&mut self.xpath_seen);
-        let mut stack = std::mem::take(&mut self.xpath_stack);
+        let mut stack = std::mem::take(&mut self.walk_stack);
         stack.clear();
         // Walk backwards from open (undetermined) cone outputs through
         // undetermined gates; success if we touch a D-frontier gate.
@@ -536,7 +626,7 @@ impl<'a> Podem<'a> {
             }
         }
         self.xpath_seen = seen;
-        self.xpath_stack = stack;
+        self.walk_stack = stack;
         found
     }
 
@@ -563,10 +653,9 @@ impl<'a> Podem<'a> {
         }
         // Advance the D-frontier gate closest to an observation point.
         let g = self
-            .view
-            .order()
+            .cone_order
             .iter()
-            .filter(|&&g| self.cone[g.index()] && self.is_d_frontier(g))
+            .filter(|&&g| self.is_d_frontier(g))
             .min_by_key(|&&g| self.scoap.co(g))?;
         let kind = self.netlist.gate(*g).kind();
         let noncontrolling = match kind.controlling_value() {

@@ -311,12 +311,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar at a time.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or backslash. Both
+                // delimiters are ASCII, so the run ends on a char boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| err(*pos, "non-utf8 string content"))?;
-                let c = rest.chars().next().ok_or_else(|| err(*pos, "empty"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -354,6 +358,20 @@ mod tests {
         let v = Value::Obj(vec![("k\"ey".into(), Value::str("a\\b\n\tc\u{1}"))]);
         let text = v.to_text();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn multi_megabyte_strings_round_trip() {
+        // Multi-byte characters sit right next to escapes, so every copied
+        // run starts or ends beside a multi-byte boundary.
+        let unit = "é\"ü\\€\n🦀\u{1}ß\tplain ascii ";
+        let long = unit.repeat((3 << 20) / unit.len() + 1);
+        assert!(long.len() > 3 << 20);
+        let v = Value::Arr(vec![Value::str(long.as_str()), Value::str("tail→")]);
+        let text = v.to_text();
+        let back = parse(&text).unwrap();
+        assert_eq!(back.to_text(), text);
+        assert_eq!(back, v);
     }
 
     #[test]

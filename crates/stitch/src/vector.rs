@@ -163,7 +163,10 @@ impl RunState<'_, '_> {
         let faults: Vec<Fault> = uncaught.iter().map(|&i| self.sets.fault(i)).collect();
         let weighted = self.cfg.strategy.resolve().weighted_scoring();
         let (p, q, l) = (self.p(), self.q(), self.l());
-        let watched: Vec<usize> = (0..q).chain(q + l.saturating_sub(k)..q + l).collect();
+        let mut watched = BitVec::zeros(q + l);
+        for o in (0..q).chain(q + l.saturating_sub(k)..q + l) {
+            watched.set(o, true);
+        }
         // Hidden machines: image and fault per hidden index. The shift-out
         // stream is candidate-independent; only the post-capture fate
         // varies, via the fresh incoming bits.
@@ -215,7 +218,8 @@ struct ScoreCtx<'c> {
     observe: ObserveTransform,
     faults: &'c [Fault],
     hidden: &'c [(Fault, BitVec)],
-    watched: &'c [usize],
+    /// Output mask of the catch points: every PO plus the next-shift cells.
+    watched: &'c BitVec,
     weighted: bool,
     p: usize,
     l: usize,
@@ -223,6 +227,16 @@ struct ScoreCtx<'c> {
 }
 
 impl ScoreCtx<'_> {
+    /// Whether a faulty response differs from the good one at a watched
+    /// output, compared a word at a time.
+    fn caught(&self, out: &BitVec, good: &BitVec) -> bool {
+        out.words()
+            .iter()
+            .zip(good.words())
+            .zip(self.watched.words())
+            .any(|((o, g), m)| (o ^ g) & m != 0)
+    }
+
     fn score(&self, bits: &BitVec) -> u64 {
         let mut fsim = FaultSim::new(self.netlist, self.view);
         let good = fsim.good_outputs(bits);
@@ -240,7 +254,7 @@ impl ScoreCtx<'_> {
                 Err(_) => unreachable!("63 view-width slots per sweep"),
             };
             for (f, out) in chunk.iter().zip(&outs) {
-                let caught = self.watched.iter().any(|&o| out.get(o) != good.get(o));
+                let caught = self.caught(out, &good);
                 let differentiated = caught || out != &good;
                 let unit = if self.weighted {
                     self.scoap.fault_hardness(self.netlist, f).max(1)
@@ -280,7 +294,7 @@ impl ScoreCtx<'_> {
                     Err(_) => unreachable!("63 view-width slots per sweep"),
                 };
                 for out in &outs {
-                    let caught = self.watched.iter().any(|&o| out.get(o) != good.get(o));
+                    let caught = self.caught(out, &good);
                     let kept = out != &good;
                     if caught {
                         score += 1000;
