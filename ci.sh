@@ -19,12 +19,22 @@ case "$PERF_LAST" in
 esac
 
 # The same pin for the PODEM-bound workload: a cold full-size s5378 run
-# (about 14 s) must reproduce its pinned report digest.
+# (about 7 s) must reproduce its pinned report digest.
 PERF_LAST=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload cold-s5378 --seed 1 --seconds 0 --trace 0 | tail -n 1)
 case "$PERF_LAST" in
   *'"correct":true'*) ;;
   *) echo "perfbench cold-s5378 digest mismatch: $PERF_LAST" >&2; exit 1 ;;
+esac
+
+# The served path: a warmed in-process server answering the seeded request
+# mix at `threads: 1`, with one-gate edits replayed through delta plans.
+# Every served artifact must match its pin.
+PERF_LAST=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve-mix --seed 1 --seconds 0 --trace 0 | tail -n 1)
+case "$PERF_LAST" in
+  *'"correct":true'*) ;;
+  *) echo "perfbench serve-mix digest mismatch: $PERF_LAST" >&2; exit 1 ;;
 esac
 
 cargo test -q --workspace --offline

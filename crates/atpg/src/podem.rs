@@ -130,9 +130,17 @@ pub struct Podem<'a> {
     cone_order: Vec<GateId>,
     /// Output indices whose driver lies in the cone.
     cone_outputs: Vec<usize>,
-    /// Level-bucketed event queue.
+    /// The read region: the combinational fanin closure of the cone and of
+    /// the fault site's fanins. Every value PODEM reads lies in it, and
+    /// events propagate only through it.
+    region: Vec<bool>,
+    region_gates: Vec<GateId>,
+    /// Level-bucketed event queue; `queued_lo..=queued_hi` bounds the
+    /// occupied buckets of the propagation in progress.
     buckets: Vec<Vec<GateId>>,
     queued: Vec<bool>,
+    queued_lo: usize,
+    queued_hi: usize,
     fault: Option<Fault>,
     scratch: Vec<Logic>,
     /// X-path walk marks: gate `g` is visited in the current walk iff
@@ -143,6 +151,10 @@ pub struct Podem<'a> {
     walk_stack: Vec<GateId>,
     backtrack_counter: tvs_exec::Counter,
     last_backtracks: u32,
+    /// Gate evaluations of the call in progress, flushed into
+    /// `atpg.gates_evaluated` once per call.
+    gates_evaluated: u64,
+    gates_counter: tvs_exec::Counter,
 }
 
 impl<'a> Podem<'a> {
@@ -171,8 +183,12 @@ impl<'a> Podem<'a> {
             cone: vec![false; n],
             cone_order: Vec::new(),
             cone_outputs: Vec::new(),
+            region: vec![false; n],
+            region_gates: Vec::new(),
             buckets: vec![Vec::new(); view.depth() as usize + 2],
             queued: vec![false; n],
+            queued_lo: 0,
+            queued_hi: 0,
             fault: None,
             scratch: Vec::new(),
             xpath_seen: vec![0; n],
@@ -180,6 +196,8 @@ impl<'a> Podem<'a> {
             walk_stack: Vec::new(),
             backtrack_counter: tvs_exec::counter("atpg.backtracks"),
             last_backtracks: 0,
+            gates_evaluated: 0,
+            gates_counter: tvs_exec::counter("atpg.gates_evaluated"),
         }
     }
 
@@ -240,6 +258,7 @@ impl<'a> Podem<'a> {
             self.last_backtracks = 0;
             return PodemResult::Aborted;
         }
+        self.gates_evaluated = 0;
         self.reset(fault, observable);
         self.imply_pins(constraint);
 
@@ -294,6 +313,7 @@ impl<'a> Podem<'a> {
             }
         };
         self.last_backtracks = backtracks;
+        self.gates_counter.add(self.gates_evaluated);
         result
     }
 
@@ -332,6 +352,10 @@ impl<'a> Podem<'a> {
             self.cone[g.index()] = false;
         }
         self.cone_order.clear();
+        for &g in &self.region_gates {
+            self.region[g.index()] = false;
+        }
+        self.region_gates.clear();
         self.fault = Some(fault);
 
         // Influence cone of the fault site.
@@ -352,6 +376,19 @@ impl<'a> Podem<'a> {
                     self.cone_order.push(consumer);
                     stack.push(consumer);
                 }
+            }
+        }
+
+        // Read region: the fanin closure of the cone plus the site's own
+        // fanins (a Dff-pin fault reads its cell's D driver).
+        stack.extend(&self.cone_order);
+        stack.extend(self.netlist.gate(seed).fanin());
+        while let Some(g) = stack.pop() {
+            let gate = self.netlist.gate(g);
+            if !self.region[g.index()] && gate.kind().is_combinational() {
+                self.region[g.index()] = true;
+                self.region_gates.push(g);
+                stack.extend(gate.fanin());
             }
         }
         self.walk_stack = stack;
@@ -424,12 +461,19 @@ impl<'a> Podem<'a> {
                     || (self.faulty[f.index()].is_specified()
                         && self.view.input_index_of(f).is_none())
             });
-            self.faulty[g.index()] = if fired { self.eval_faulty(g) } else { Logic::X };
+            self.faulty[g.index()] = if fired {
+                self.gates_evaluated += 1;
+                self.eval_faulty(g)
+            } else {
+                Logic::X
+            };
         }
     }
 
     /// Assigns (or unassigns, with `Logic::X`) a combinational input and
-    /// propagates events forward.
+    /// propagates events forward through the read region. Gates outside it
+    /// go stale; nothing reads them before the next call re-copies the
+    /// implied plane.
     fn assign(&mut self, input: usize, value: Logic) {
         let gate = self.view.input_gate(input);
         let fault = self.active_fault();
@@ -443,12 +487,18 @@ impl<'a> Podem<'a> {
     }
 
     fn propagate_from(&mut self, source: GateId) {
+        self.queued_lo = usize::MAX;
+        self.queued_hi = 0;
         for &(consumer, _) in self.netlist.fanout(source) {
             self.enqueue(consumer);
         }
-        for level in 0..self.buckets.len() {
-            while let Some(g) = pop_bucket(&mut self.buckets, level) {
+        // A consumer sits at a strictly higher level than its fanin, so
+        // nothing is queued below the level being drained.
+        let mut level = self.queued_lo;
+        while level <= self.queued_hi {
+            while let Some(g) = self.buckets[level].pop() {
                 self.queued[g.index()] = false;
+                self.gates_evaluated += 1;
                 let (ng, nf) = self.eval_gate(g);
                 if ng != self.good[g.index()] || nf != self.faulty[g.index()] {
                     self.good[g.index()] = ng;
@@ -458,22 +508,31 @@ impl<'a> Podem<'a> {
                     }
                 }
             }
+            level += 1;
         }
     }
 
     fn enqueue(&mut self, g: GateId) {
-        if self.netlist.gate(g).kind().is_combinational() && !self.queued[g.index()] {
+        if self.region[g.index()] && !self.queued[g.index()] {
             self.queued[g.index()] = true;
-            self.buckets[self.view.level(g) as usize].push(g);
+            let level = self.view.level(g) as usize;
+            self.queued_lo = self.queued_lo.min(level);
+            self.queued_hi = self.queued_hi.max(level);
+            self.buckets[level].push(g);
         }
     }
 
+    /// The (good, faulty) pair of a region gate. Outside the cone no fanin
+    /// carries a fault effect, so the faulty value is the good value.
     fn eval_gate(&mut self, g: GateId) -> (Logic, Logic) {
         let gate = self.netlist.gate(g);
         self.scratch.clear();
         self.scratch
             .extend(gate.fanin().iter().map(|&f| self.good[f.index()]));
         let ng = gate.kind().eval(&self.scratch);
+        if !self.cone[g.index()] {
+            return (ng, ng);
+        }
         (ng, self.eval_faulty(g))
     }
 
@@ -662,8 +721,6 @@ impl<'a> Podem<'a> {
             Some(Logic::Zero) => true,
             Some(Logic::One) => false,
             _ => false, // XOR-class: aim for 0, backtracking corrects
-            #[allow(unreachable_patterns)]
-            Some(Logic::X) => unreachable!(),
         };
         // Prefer an input whose faulty value is still free (the usual case,
         // and the only lever when the good output is already frozen); fall
@@ -749,10 +806,6 @@ impl<'a> Podem<'a> {
 
 fn stuck_logic(fault: Fault) -> Logic {
     Logic::from(fault.stuck.as_bool())
-}
-
-fn pop_bucket(buckets: &mut [Vec<GateId>], level: usize) -> Option<GateId> {
-    buckets[level].pop()
 }
 
 #[cfg(test)]

@@ -1,11 +1,15 @@
-//! Equivalence of PODEM's pinned-bit setup with the one-assignment-per-pin
-//! scheme it replaces.
+//! Equivalence of PODEM's pinned-bit setup and read-region propagation with
+//! the full-propagation scheme they replace.
 //!
-//! `Podem` implies a constraint cube once, caches the fault-free plane, and
-//! re-evaluates only the fault's cone per call. [`Reference`] below keeps the
-//! original scheme — every pinned bit a separate event-driven propagation,
-//! full-order frontier scans — and the tests demand identical (good, faulty)
-//! planes after setup, identical verdicts and identical backtrack counts.
+//! `Podem` implies a constraint cube once, caches the fault-free plane,
+//! re-evaluates only the fault's cone per call, and propagates decisions
+//! only through the gates it can read. [`Reference`] below keeps the
+//! original scheme — every pinned bit and decision a full event-driven
+//! propagation over both planes, full-order frontier scans — and the tests
+//! demand identical (good, faulty) planes after setup, identical verdicts
+//! and identical backtrack counts.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tvs_atpg::{Podem, PodemConfig, PodemResult};
 use tvs_circuits::profile;
@@ -29,6 +33,8 @@ struct Reference<'a> {
     queued: Vec<bool>,
     fault: Fault,
     last_backtracks: u32,
+    /// Gate evaluations over every propagation so far.
+    evaluated: u64,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -57,6 +63,7 @@ impl<'a> Reference<'a> {
             queued: vec![false; n],
             fault: Fault::stem(view.input_gate(0), StuckAt::Zero),
             last_backtracks: 0,
+            evaluated: 0,
         }
     }
 
@@ -163,6 +170,7 @@ impl<'a> Reference<'a> {
         for level in 0..self.buckets.len() {
             while let Some(g) = self.buckets[level].pop() {
                 self.queued[g.index()] = false;
+                self.evaluated += 1;
                 let (ng, nf) = self.eval_gate(g);
                 if ng != self.good[g.index()] || nf != self.faulty[g.index()] {
                     self.good[g.index()] = ng;
@@ -516,6 +524,19 @@ fn cycle_flags(view: &ScanView, k: usize) -> Vec<bool> {
 
 const CIRCUITS: [(&str, u64, usize); 2] = [("s1423", 0x1423, 192), ("s5378", 0x5378, 96)];
 
+/// The prescreen's deep search: 8× the default backtrack limit.
+const DEEP: PodemConfig = PodemConfig {
+    backtrack_limit: 8 * 256,
+    xpath_check: true,
+};
+
+/// Serializes the tests that call `Podem::generate`: each call adds to the
+/// process-wide `atpg.gates_evaluated` counter, which one test reads.
+fn generating() -> MutexGuard<'static, ()> {
+    static GENERATE: Mutex<()> = Mutex::new(());
+    GENERATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn setup_planes_match_one_assignment_per_pin() {
     for (name, seed, count) in CIRCUITS {
@@ -545,6 +566,7 @@ fn setup_planes_match_one_assignment_per_pin() {
 
 #[test]
 fn verdicts_and_backtracks_match_the_reference() {
+    let _serial = generating();
     let config = PodemConfig {
         backtrack_limit: 32,
         xpath_check: true,
@@ -584,6 +606,7 @@ fn verdicts_and_backtracks_match_the_reference() {
 
 #[test]
 fn reused_generator_matches_fresh_ones_across_alternating_constraints() {
+    let _serial = generating();
     let n = profile("s1423").expect("built-in profile").build();
     let view = n.scan_view().expect("scan view");
     let mut rng = Prng::seed_from_u64(0xaba);
@@ -616,4 +639,84 @@ fn reused_generator_matches_fresh_ones_across_alternating_constraints() {
             }
         }
     }
+}
+
+/// The prescreen's query on every collapsed s1423 fault: free cube, deep
+/// backtrack limit. Verdicts, test cubes and backtrack counts must match
+/// full propagation exactly.
+#[test]
+fn deep_free_cube_sweep_matches_the_reference_on_every_s1423_fault() {
+    let _serial = generating();
+    let n = profile("s1423").expect("built-in profile").build();
+    let view = n.scan_view().expect("scan view");
+    let free = Cube::unspecified(view.input_count());
+    let mut podem = Podem::with_config(&n, &view, DEEP);
+    let mut reference = Reference::new(&n, &view, DEEP);
+    let (mut stem, mut branch, mut dff_pin, mut pi_site, mut ppi_site) = (0, 0, 0, 0, 0);
+    let mut verdicts = [0usize; 3];
+    for &fault in FaultList::collapsed(&n).faults() {
+        let want = reference.generate(fault, &free, None);
+        let got = podem.generate(fault, &free);
+        let name = fault.display_in(&n);
+        assert_eq!(got, want, "s1423 {name}");
+        assert_eq!(
+            podem.last_backtracks(),
+            reference.last_backtracks,
+            "s1423 {name}: backtracks differ"
+        );
+        let site = fault.site;
+        let source = view.input_index_of(site.gate);
+        match (site.pin, source) {
+            (Some(_), Some(_)) => dff_pin += 1,
+            (Some(_), None) => branch += 1,
+            (None, Some(i)) if i < view.pi_count() => pi_site += 1,
+            (None, Some(_)) => ppi_site += 1,
+            (None, None) => stem += 1,
+        }
+        verdicts[match want {
+            PodemResult::Test(_) => 0,
+            PodemResult::Untestable => 1,
+            PodemResult::Aborted => 2,
+        }] += 1;
+    }
+    for (class, hits) in [
+        ("stem", stem),
+        ("branch", branch),
+        ("Dff-pin", dff_pin),
+        ("PI source", pi_site),
+        ("PPI source", ppi_site),
+        ("test", verdicts[0]),
+        ("untestable", verdicts[1]),
+    ] {
+        assert!(hits > 0, "no {class} fault in the s1423 sweep");
+    }
+}
+
+/// Read-region propagation must at least halve the gate evaluations of full
+/// propagation on a seeded s5378 sample of the prescreen's query.
+#[test]
+fn gates_evaluated_is_at_most_half_of_full_propagation() {
+    let _serial = generating();
+    let n = profile("s5378").expect("built-in profile").build();
+    let view = n.scan_view().expect("scan view");
+    let free = Cube::unspecified(view.input_count());
+    let faults = FaultList::collapsed(&n);
+    let mut rng = Prng::seed_from_u64(0x5378);
+    let mut podem = Podem::with_config(&n, &view, DEEP);
+    let mut reference = Reference::new(&n, &view, DEEP);
+    let counter = tvs_exec::counter("atpg.gates_evaluated");
+    let before = counter.get();
+    for _ in 0..64 {
+        let fault = faults.faults()[rng.gen_range(0..faults.len())];
+        assert_eq!(
+            podem.generate(fault, &free),
+            reference.generate(fault, &free, None)
+        );
+    }
+    let evaluated = counter.get() - before;
+    assert!(
+        evaluated > 0 && 2 * evaluated <= reference.evaluated,
+        "atpg.gates_evaluated {evaluated} vs {} under full propagation",
+        reference.evaluated
+    );
 }

@@ -41,8 +41,47 @@ pub struct Scoap {
     cc0: Vec<u32>,
     cc1: Vec<u32>,
     co: Vec<u32>,
-    /// Per gate, per input pin: observability of the branch.
-    co_pin: Vec<Vec<u32>>,
+    /// Per gate, per input pin: observability of the branch. One flat
+    /// table, not one vector per gate: every `Podem` holds a `Scoap`, and
+    /// per-gate vectors tripled its footprint.
+    co_pin: PinTable,
+}
+
+/// A value per (gate, input pin): gate `g`'s pins occupy
+/// `values[start[g]..start[g + 1]]`.
+#[derive(Debug, Clone)]
+struct PinTable {
+    start: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl PinTable {
+    fn new(netlist: &Netlist, fill: u32) -> PinTable {
+        let mut start = Vec::with_capacity(netlist.gate_count() + 1);
+        let mut total = 0u32;
+        start.push(total);
+        for id in netlist.gate_ids() {
+            total += netlist.gate(id).fanin().len() as u32;
+            start.push(total);
+        }
+        PinTable {
+            start,
+            values: vec![fill; total as usize],
+        }
+    }
+
+    fn slot(&self, gate: usize, pin: usize) -> usize {
+        self.start[gate] as usize + pin
+    }
+
+    fn get(&self, gate: usize, pin: usize) -> u32 {
+        self.values[self.slot(gate, pin)]
+    }
+
+    fn get_mut(&mut self, gate: usize, pin: usize) -> &mut u32 {
+        let slot = self.slot(gate, pin);
+        &mut self.values[slot]
+    }
 }
 
 const UNREACHED: u32 = u32::MAX;
@@ -76,17 +115,14 @@ impl Scoap {
 
         // Reverse sweep for observability.
         let mut co = vec![UNREACHED; n];
-        let mut co_pin: Vec<Vec<u32>> = netlist
-            .gate_ids()
-            .map(|id| vec![UNREACHED; netlist.gate(id).fanin().len()])
-            .collect();
+        let mut co_pin = PinTable::new(netlist, UNREACHED);
 
         for &po in view.pos() {
             co[po.index()] = 0;
         }
         // Scan-cell D pins are observation points (captured and shifted out).
         for &ff in view.ppis() {
-            co_pin[ff.index()][0] = 0;
+            *co_pin.get_mut(ff.index(), 0) = 0;
         }
 
         for &id in view.order().iter().rev() {
@@ -113,7 +149,7 @@ impl Scoap {
                     })
                     .fold(0u32, |a, b| a.saturating_add(b));
                 let pin_co = stem.saturating_add(side).saturating_add(1);
-                let slot = &mut co_pin[id.index()][pin];
+                let slot = co_pin.get_mut(id.index(), pin);
                 *slot = (*slot).min(pin_co);
             }
         }
@@ -170,18 +206,18 @@ impl Scoap {
                 } else {
                     self.cc1[driver]
                 };
-                (ctrl, self.co_pin[g.index()][pin as usize])
+                (ctrl, self.co_pin.get(g.index(), pin as usize))
             }
         };
         ctrl as u64 + obs as u64
     }
 }
 
-fn best_branch_co(netlist: &Netlist, id: tvs_netlist::GateId, co_pin: &[Vec<u32>]) -> u32 {
+fn best_branch_co(netlist: &Netlist, id: tvs_netlist::GateId, co_pin: &PinTable) -> u32 {
     netlist
         .fanout(id)
         .iter()
-        .map(|&(consumer, pin)| co_pin[consumer.index()][pin as usize])
+        .map(|&(consumer, pin)| co_pin.get(consumer.index(), pin as usize))
         .min()
         .unwrap_or(UNREACHED)
 }

@@ -178,11 +178,7 @@ impl NetlistBuilder {
             name: self.name,
             gates,
             names,
-            by_name: self
-                .by_name
-                .into_iter()
-                .map(|(k, v)| (k, GateId::from_index(v)))
-                .collect(),
+            by_name: self.by_name.into_values().map(GateId::from_index).collect(),
             inputs: self.inputs.into_iter().map(GateId::from_index).collect(),
             outputs,
             dffs: self.dffs.into_iter().map(GateId::from_index).collect(),

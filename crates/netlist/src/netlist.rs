@@ -1,6 +1,5 @@
 //! The netlist container: gates, names, fanout and validation.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -24,7 +23,9 @@ pub struct Netlist {
     pub(crate) name: String,
     pub(crate) gates: Vec<Gate>,
     pub(crate) names: Vec<String>,
-    pub(crate) by_name: BTreeMap<String, GateId>,
+    /// Gate ids sorted by signal name: `find` binary-searches `names`
+    /// through it rather than keeping a second copy of every name.
+    pub(crate) by_name: Vec<GateId>,
     pub(crate) inputs: Vec<GateId>,
     pub(crate) outputs: Vec<GateId>,
     pub(crate) dffs: Vec<GateId>,
@@ -78,7 +79,11 @@ impl Netlist {
 
     /// Looks a gate up by signal name.
     pub fn find(&self, name: &str) -> Option<GateId> {
-        self.by_name.get(name).copied()
+        let i = self
+            .by_name
+            .binary_search_by(|g| self.names[g.index()].as_str().cmp(name))
+            .ok()?;
+        Some(self.by_name[i])
     }
 
     /// Primary inputs, in declaration order.
