@@ -221,6 +221,21 @@ fclient stats > "$FLEET/stats.out"
 grep -q '"engine_runs":2' "$FLEET/stats.out"
 grep -q '"worker_deaths":1' "$FLEET/stats.out"
 
+# Fleet admission smoke: the coordinator rejects a deny-level netlist
+# (combinational cycle) with the typed wire code, then answers the
+# resubmit from its own verdict cache; neither reaches a worker, so the
+# fleet-wide engine-run count is unchanged.
+printf 'INPUT(a)\nOUTPUT(y)\nb = AND(a, c)\nc = NOT(b)\ny = AND(a, b)\n' \
+  > "$FLEET/cyclic.bench"
+for attempt in 1 2; do
+  if fclient submit "$FLEET/cyclic.bench" 2> "$FLEET/reject$attempt.err"; then
+    echo "deny-level fleet submit was admitted" >&2; exit 1
+  fi
+  grep -q '\[rejected\]' "$FLEET/reject$attempt.err"
+done
+fclient stats > "$FLEET/stats2.out"
+grep -q '"engine_runs":2' "$FLEET/stats2.out"
+
 # Warm resubmission through the coordinator is a cache hit.
 fclient submit --seed 3 "$FLEET/s1423.bench" > "$FLEET/resubmit.out"
 grep -q cache-hit "$FLEET/resubmit.out"

@@ -37,13 +37,14 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use tvs_delta::{cone_table, interface_signature, netlist_root, ConeManifest};
 use tvs_netlist::Netlist;
 use tvs_stitch::{fnv1a, StitchConfig};
 
 use crate::error::CoreError;
+use crate::jobs::lock;
 
 /// The 64-bit content address of an artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -177,12 +178,6 @@ impl Ledger {
 pub struct ArtifactStore {
     dir: PathBuf,
     ledger: Arc<Mutex<Ledger>>,
-}
-
-fn lock(m: &Mutex<Ledger>) -> MutexGuard<'_, Ledger> {
-    // The ledger is a plain map; every mutation is complete at any panic
-    // point, so poison carries no signal here.
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The sidecar extensions one key owns on disk.

@@ -13,12 +13,10 @@
 //! 3. otherwise the run is admitted to the bounded queue (or rejected with
 //!    [`CoreError::Busy`]) and its artifact is persisted on completion.
 //!
-//! Submissions are **lint-gated**: before a fresh engine run is admitted,
-//! the structural design rules and the testability dataflow run over the
-//! parsed netlist, and any deny-level finding rejects the job with
-//! [`CoreError::Rejected`] carrying the diagnostics as JSON — no engine run
-//! starts, and the verdict is cached per key so identical resubmissions are
-//! rejected without re-analysis.
+//! Submissions are **lint-gated** through the shared [`LintGate`]: a
+//! deny-level finding rejects the job with [`CoreError::Rejected`] before
+//! any engine run starts, and the verdict is cached per key so identical
+//! resubmissions are rejected without re-analysis.
 //!
 //! Submissions are **delta-aware**: a cache miss searches the store for the
 //! nearest cached ancestor manifest (same interface and configuration, most
@@ -43,11 +41,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use tvs_delta::{plan_for, ConeManifest};
 use tvs_exec::{JobHandle, JobQueue, QueueFull};
-use tvs_netlist::{bench, Netlist};
+use tvs_netlist::Netlist;
 use tvs_stitch::{
     PrescreenRecord, PrescreenTrace, RunOptions, RunProgress, Snapshot, StitchConfig, StitchEngine,
     StitchReport, Termination,
@@ -55,6 +53,7 @@ use tvs_stitch::{
 
 use crate::cache::{ArtifactKey, ArtifactStore, SubmissionIdentity};
 use crate::error::CoreError;
+use crate::gate::LintGate;
 use crate::json::Value;
 
 /// The result a job resolves to: the artifact JSON text, or the engine's
@@ -102,12 +101,6 @@ struct TableInner {
     jobs: BTreeMap<String, JobEntry>,
     /// Live (not yet finished) job per key — the single-flight index.
     by_key: BTreeMap<u64, String>,
-    /// Lint-rejection verdicts per key (diagnostics JSON). Rejections are a
-    /// pure function of the submission, so they are cached like artifacts —
-    /// resubmitting a denied netlist never re-runs the analysis.
-    rejections: BTreeMap<u64, String>,
-    /// Keys that already passed the lint gate (the accept-side memo).
-    admitted: BTreeSet<u64>,
     /// Engine runs in flight per client identity (quota accounting).
     in_flight: BTreeMap<String, usize>,
     next_id: u64,
@@ -139,6 +132,7 @@ impl Admission {
 pub struct JobTable {
     queue: JobQueue<JobResult>,
     store: ArtifactStore,
+    gate: LintGate,
     inner: Arc<Mutex<TableInner>>,
     /// Cycles between checkpoint snapshots while a job runs (0 = never).
     checkpoint_every: usize,
@@ -146,9 +140,10 @@ pub struct JobTable {
     client_quota: usize,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panicking job closure cannot leave shared state inconsistent: every
-    // mutation below is a single map insert/remove.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A panic cannot leave shared state inconsistent: every mutation under
+    // the job table, cache ledger and gate locks is complete at any panic
+    // point, so poison carries no signal.
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -164,6 +159,7 @@ impl JobTable {
         JobTable {
             queue: JobQueue::new(workers, capacity),
             store,
+            gate: LintGate::default(),
             inner: Arc::new(Mutex::new(TableInner::default())),
             checkpoint_every,
             client_quota: 0,
@@ -203,37 +199,6 @@ impl JobTable {
         self.queue.drain();
     }
 
-    /// Records a fresh lint rejection for `key` (or returns the cached one
-    /// if another submission raced this one to the verdict).
-    fn reject(&self, key: ArtifactKey, diagnostics: String) -> CoreError {
-        let mut inner = lock(&self.inner);
-        if let Some(existing) = inner.rejections.get(&key.0) {
-            tvs_exec::counter("serve.rejected_cache_hits").incr();
-            return CoreError::Rejected {
-                diagnostics: existing.clone(),
-                cached: true,
-            };
-        }
-        tvs_exec::counter("serve.rejected").incr();
-        inner.rejections.insert(key.0, diagnostics.clone());
-        CoreError::Rejected {
-            diagnostics,
-            cached: false,
-        }
-    }
-
-    /// The cached rejection for `key`, if any.
-    fn cached_rejection(&self, key: ArtifactKey) -> Option<CoreError> {
-        let inner = lock(&self.inner);
-        inner.rejections.get(&key.0).map(|diagnostics| {
-            tvs_exec::counter("serve.rejected_cache_hits").incr();
-            CoreError::Rejected {
-                diagnostics: diagnostics.clone(),
-                cached: true,
-            }
-        })
-    }
-
     /// Submits `.bench` source for compression under `config`, optionally
     /// on behalf of a named `client` (quota accounting).
     ///
@@ -256,43 +221,18 @@ impl JobTable {
         client: Option<&str>,
     ) -> Result<(String, Admission), CoreError> {
         tvs_exec::counter("serve.submits").incr();
-        let netlist = match bench::parse(name, bench_text) {
-            Ok(netlist) => netlist,
-            Err(e) => {
-                return Err(match tvs_lint::netlist_error_diagnostics(&e) {
-                    // Structural builder errors are design-rule findings;
-                    // the raw source text stands in for the canonical form
-                    // the build never produced.
-                    Some(diags) => {
-                        let key = ArtifactKey::compute(bench_text, &config);
-                        match self.cached_rejection(key) {
-                            Some(hit) => hit,
-                            None => self.reject(key, tvs_lint::render_json(&diags)),
-                        }
-                    }
-                    None => CoreError::Netlist(e.to_string()),
-                });
-            }
-        };
-        let canonical = bench::to_string(&netlist);
-        let identity = SubmissionIdentity::of(&netlist, &canonical, &config);
+        // The lint gate runs outside the table lock (it is pure analysis).
+        let admitted = self.gate.admit(name, bench_text, &config);
+        if let Err(CoreError::Rejected { cached, .. }) = &admitted {
+            let name = if *cached {
+                "serve.rejected_cache_hits"
+            } else {
+                "serve.rejected"
+            };
+            tvs_exec::counter(name).incr();
+        }
+        let (netlist, identity) = admitted?;
         let key = identity.key;
-
-        if let Some(hit) = self.cached_rejection(key) {
-            return Err(hit);
-        }
-
-        // Lint gate: structural rules + testability dataflow, run outside
-        // the table lock (it is pure analysis). Accepted keys are memoized
-        // so resubmissions and cache hits skip the analysis entirely.
-        if !lock(&self.inner).admitted.contains(&key.0) {
-            let diags =
-                tvs_lint::admission_diagnostics(&netlist, &tvs_lint::TestabilityConfig::default());
-            if tvs_lint::has_deny(&diags) {
-                return Err(self.reject(key, tvs_lint::render_json(&diags)));
-            }
-            lock(&self.inner).admitted.insert(key.0);
-        }
 
         // Fast path checks happen under the table lock so two identical
         // submissions cannot both decide to start an engine run.
@@ -475,25 +415,8 @@ impl JobTable {
     ///
     /// [`CoreError::UnknownJob`] for ids this table never issued.
     pub fn wait(&self, job_id: &str) -> Result<JobStatus, CoreError> {
-        let (handle, entry_snapshot) = {
-            let inner = lock(&self.inner);
-            let entry = inner
-                .jobs
-                .get(job_id)
-                .ok_or_else(|| CoreError::UnknownJob(job_id.to_owned()))?;
-            (
-                entry.handle.clone(),
-                (entry.key, Arc::clone(&entry.progress)),
-            )
-        };
-        // Block outside the table lock — other clients keep submitting.
-        let _ = handle.wait();
-        let (key, progress) = entry_snapshot;
-        Ok(entry_status(&JobEntry {
-            key,
-            handle,
-            progress,
-        }))
+        let _ = self.handle(job_id)?.wait();
+        self.status(job_id)
     }
 
     /// Blocks until `job_id` finishes and returns its artifact JSON text.
@@ -503,21 +426,24 @@ impl JobTable {
     /// [`CoreError::UnknownJob`] for unknown ids, [`CoreError::JobFailed`]
     /// when the engine run failed.
     pub fn fetch(&self, job_id: &str) -> Result<Arc<String>, CoreError> {
-        let handle = {
-            let inner = lock(&self.inner);
-            inner
-                .jobs
-                .get(job_id)
-                .map(|e| e.handle.clone())
-                .ok_or_else(|| CoreError::UnknownJob(job_id.to_owned()))?
-        };
-        match handle.wait() {
+        match self.handle(job_id)?.wait() {
             Ok(result) => match result.as_ref() {
                 Ok(artifact) => Ok(Arc::new(artifact.clone())),
                 Err(message) => Err(CoreError::JobFailed(message.clone())),
             },
             Err(panic) => Err(CoreError::JobFailed(panic.to_string())),
         }
+    }
+
+    /// The job's result handle, cloned so callers block outside the table
+    /// lock while other clients keep submitting. Entries are never removed,
+    /// so the id stays valid after the wait.
+    fn handle(&self, job_id: &str) -> Result<JobHandle<JobResult>, CoreError> {
+        lock(&self.inner)
+            .jobs
+            .get(job_id)
+            .map(|e| e.handle.clone())
+            .ok_or_else(|| CoreError::UnknownJob(job_id.to_owned()))
     }
 }
 
@@ -618,70 +544,46 @@ fn run_engine(
     let engine = StitchEngine::new(netlist).map_err(|e| e.to_string())?;
     let resume = resume_text.and_then(|text| Snapshot::parse(&text).ok());
     let resumed = resume.is_some();
-
-    let mut trace = None;
-    let mut on_prescreen = |t: PrescreenTrace| trace = Some(t);
-    let mut on_progress = |p: RunProgress| {
-        progress.cycle.store(p.cycle, Ordering::Release);
-        progress.caught.store(p.caught, Ordering::Release);
-        progress.hidden.store(p.hidden, Ordering::Release);
-        progress.uncaught.store(p.uncaught, Ordering::Release);
+    let attempt = |resume: Option<Snapshot>, prescreen_plan| {
+        let mut trace = None;
+        let mut on_prescreen = |t: PrescreenTrace| trace = Some(t);
+        let mut on_progress = |p: RunProgress| {
+            progress.cycle.store(p.cycle, Ordering::Release);
+            progress.caught.store(p.caught, Ordering::Release);
+            progress.hidden.store(p.hidden, Ordering::Release);
+            progress.uncaught.store(p.uncaught, Ordering::Release);
+        };
+        let mut on_checkpoint = |snap: Snapshot| {
+            // Checkpoint persistence is best-effort: a failed write costs
+            // crash resumability, never correctness.
+            if store.store_snapshot(key, &snap.to_text()).is_err() {
+                tvs_exec::counter("serve.checkpoint_write_failed").incr();
+            }
+        };
+        let report = engine.run_with(
+            config,
+            RunOptions {
+                resume,
+                checkpoint_every,
+                on_checkpoint: Some(&mut on_checkpoint),
+                on_progress: Some(&mut on_progress),
+                prescreen_plan,
+                on_prescreen: Some(&mut on_prescreen),
+            },
+        )?;
+        Ok((report, trace))
     };
-    let mut on_checkpoint = |snap: Snapshot| {
-        // Checkpoint persistence is best-effort: a failed write costs crash
-        // resumability, never correctness.
-        if store.store_snapshot(key, &snap.to_text()).is_err() {
-            tvs_exec::counter("serve.checkpoint_write_failed").incr();
-        }
-    };
-    let attempt = engine.run_with(
-        config,
-        RunOptions {
-            resume,
-            checkpoint_every,
-            on_checkpoint: Some(&mut on_checkpoint),
-            on_progress: Some(&mut on_progress),
-            prescreen_plan: plan.clone(),
-            on_prescreen: Some(&mut on_prescreen),
-        },
-    );
-    match attempt {
-        Ok(report) => Ok((report, trace)),
+    match attempt(resume, plan.clone()) {
         // A stale or incompatible on-disk checkpoint (e.g. from an older
         // config sharing the key by collision) must not fail the job: fall
         // back to a cold run.
         Err(tvs_stitch::StitchError::Snapshot(_)) if resumed => {
             tvs_exec::counter("serve.snapshot_rejected").incr();
-            let mut trace = None;
-            let mut on_prescreen = |t: PrescreenTrace| trace = Some(t);
-            let mut on_progress = |p: RunProgress| {
-                progress.cycle.store(p.cycle, Ordering::Release);
-                progress.caught.store(p.caught, Ordering::Release);
-                progress.hidden.store(p.hidden, Ordering::Release);
-                progress.uncaught.store(p.uncaught, Ordering::Release);
-            };
-            let mut on_checkpoint = |snap: Snapshot| {
-                if store.store_snapshot(key, &snap.to_text()).is_err() {
-                    tvs_exec::counter("serve.checkpoint_write_failed").incr();
-                }
-            };
-            engine
-                .run_with(
-                    config,
-                    RunOptions {
-                        resume: None,
-                        checkpoint_every,
-                        on_checkpoint: Some(&mut on_checkpoint),
-                        on_progress: Some(&mut on_progress),
-                        prescreen_plan: plan,
-                        on_prescreen: Some(&mut on_prescreen),
-                    },
-                )
-                .map(|report| (report, trace))
-                .map_err(|e| e.to_string())
+            attempt(None, plan)
         }
-        Err(e) => Err(e.to_string()),
+        outcome => outcome,
     }
+    .map_err(|e| e.to_string())
 }
 
 /// Renders the artifact document: identity, Table 2–5 metrics, and the full

@@ -14,6 +14,9 @@
 //!   over the [`tvs_exec::JobQueue`]: concurrent identical submissions
 //!   coalesce onto one engine run, cache hits never touch the queue, and a
 //!   full queue is a typed [`CoreError::Busy`] instead of a backlog.
+//! * the **lint admission gate** ([`LintGate`]): memoized deny-level
+//!   verdicts per artifact key, held by the job table and by the fleet
+//!   coordinator alike, so both front doors reject identically.
 //!
 //! Both the single-node daemon (`tvs-serve`) and the fleet coordinator's
 //! routing layer (`tvs-fleet`) build on this crate: the daemon wires the
@@ -27,9 +30,11 @@
 
 pub mod cache;
 mod error;
+mod gate;
 pub mod jobs;
 pub mod json;
 
 pub use cache::{ArtifactKey, ArtifactStore, SubmissionIdentity};
 pub use error::CoreError;
+pub use gate::LintGate;
 pub use jobs::{render_artifact, Admission, JobStatus, JobTable};

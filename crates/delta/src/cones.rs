@@ -6,33 +6,8 @@
 //! produce identical hashes on any machine.
 
 use tvs_fault::Fault;
+use tvs_logic::{fnv1a, Fnv};
 use tvs_netlist::{GateId, GateKind, Netlist, ScanView};
-use tvs_stitch::fnv1a;
-
-/// Streaming FNV-1a-64 over heterogeneous fields, byte-compatible with
-/// feeding the same bytes to [`tvs_stitch::fnv1a`] in one go.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Per-gate cone hashes, indexed by dense gate id.
 ///

@@ -53,4 +53,4 @@ mod stats;
 pub use budget::Budget;
 pub use pool::{default_threads, Scope, TaskPanic, ThreadPool};
 pub use queue::{JobHandle, JobPanicked, JobQueue, QueueFull};
-pub use stats::{counter, report, reset_stats, span, Counter, Report, SpanGuard};
+pub use stats::{counter, json_escape, report, reset_stats, span, Counter, Report, SpanGuard};

@@ -198,8 +198,9 @@ impl Report {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal — the one
+/// escaper behind `--stats-json` and the lint JSON renderers.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

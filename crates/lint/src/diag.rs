@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tvs_exec::json_escape;
+
 /// How serious a finding is.
 ///
 /// `Deny` findings fail CI and trip the `debug_assert`-gated IR checks;
@@ -133,22 +135,6 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
     }
     let (deny, warn, info) = counts(diags);
     out.push_str(&format!("{deny} deny, {warn} warn, {info} info\n"));
-    out
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

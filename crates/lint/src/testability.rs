@@ -19,8 +19,9 @@
 //! | TB003 | warn or deny | net is structurally unobservable               |
 
 use crate::dataflow::CombOrder;
-use crate::diag::{json_escape, Diagnostic, Severity, Site};
+use crate::diag::{Diagnostic, Severity, Site};
 use crate::graph::{IrGraph, IrKind};
+use tvs_exec::json_escape;
 use tvs_netlist::GateKind;
 
 /// Sentinel for "no structural path": a net that cannot be reached from

@@ -29,10 +29,12 @@
 
 mod bits;
 mod cube;
+mod fnv;
 mod rng;
 mod value;
 
 pub use bits::BitVec;
 pub use cube::{Cube, ParseCubeError};
+pub use fnv::{fnv1a, Fnv};
 pub use rng::{Prng, SplitMix64};
 pub use value::{Logic, ParseLogicError};

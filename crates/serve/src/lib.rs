@@ -14,8 +14,9 @@
 //!   text, so artifacts re-serialize byte-identically).
 //!
 //! This crate owns the *wire*: framing, the request grammar, the
-//! [`ServeError`] taxonomy with stable wire codes, and the blocking
-//! [`Client`]. The job/cache/queue mechanics live in `tvs-core`, shared
+//! [`ServeError`] taxonomy with stable wire codes, the connection driver
+//! ([`serve_listener`]) and `lint` op ([`lint_op`]) the fleet coordinator
+//! serves through too, and the blocking [`Client`]. The job/cache/queue mechanics live in `tvs-core`, shared
 //! with the fleet coordinator (`tvs-fleet`) that shards submissions across
 //! many of these daemons.
 //!
@@ -38,5 +39,8 @@ pub use tvs_core::json;
 pub use client::Client;
 pub use error::ServeError;
 pub use proto::PROTO_VERSION;
-pub use server::{check_version, config_from_wire, Server, ServerConfig};
+pub use server::{
+    bench_args, check_version, config_from_wire, job_arg, lint_op, serve_listener, Server,
+    ServerConfig,
+};
 pub use tvs_core::{Admission, ArtifactKey, ArtifactStore, CoreError, JobStatus, JobTable};

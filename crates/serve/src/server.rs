@@ -1,6 +1,12 @@
 //! The TCP daemon: accept loop, per-connection protocol dispatch, and
 //! graceful drain.
 //!
+//! The accept loop and the per-connection frame loop are the one connection
+//! driver of the workspace: [`serve_listener`] takes the op dispatch as a
+//! closure, so the fleet coordinator serves its clients through the same
+//! code with its own dispatch. The `lint` op ([`lint_op`]) is shared the
+//! same way.
+//!
 //! Concurrency split: **I/O concurrency lives here** (one OS thread per
 //! connection — clients block on `wait`/`fetch` for minutes, a share-nothing
 //! thread per socket is the simplest correct shape), while **compute
@@ -122,46 +128,70 @@ impl Server {
     /// Only setup failures (making the listener non-blocking) error; per-
     /// connection failures are contained to their connection thread.
     pub fn run(self) -> Result<(), ServeError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::io("set_nonblocking", e))?;
-        // Connection threads are I/O waiters, not compute — every engine run
-        // goes through the tvs-exec job queue. This file is the one SRC003
-        // allowlist entry outside crates/exec (see the lint table).
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.draining.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let table = Arc::clone(&self.table);
-                    let draining = Arc::clone(&self.draining);
-                    let handle =
-                        std::thread::spawn(move || serve_connection(stream, &table, &draining));
-                    connections.push(handle);
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => std::thread::sleep(POLL),
-            }
-            connections.retain(|h| !h.is_finished());
-        }
-        // Drain: finish every admitted job, then let connection threads
-        // notice the flag and exit.
+        let table = Arc::clone(&self.table);
+        let draining = Arc::clone(&self.draining);
+        serve_listener(&self.listener, &self.draining, move |op, request| {
+            dispatch(op, request, &table, &draining).unwrap_or_else(|e| e.to_wire())
+        })?;
+        // Drain: finish every admitted job.
         self.table.drain();
-        for handle in connections {
-            let _ = handle.join();
-        }
         Ok(())
     }
 }
 
+/// Accepts connections on `listener` until `draining` flips, serving each
+/// on its own thread: every request frame is parsed and version-checked,
+/// then `dispatch(op, request)` produces the response document. Returns
+/// once every connection thread has exited.
+///
+/// # Errors
+///
+/// Only setup failures (making the listener non-blocking) error; per-
+/// connection failures are contained to their connection thread.
+pub fn serve_listener<D>(
+    listener: &TcpListener,
+    draining: &Arc<AtomicBool>,
+    dispatch: D,
+) -> Result<(), ServeError>
+where
+    D: Fn(&str, &Value) -> Value + Send + Sync + 'static,
+{
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| ServeError::io("set_nonblocking", e))?;
+    let dispatch = Arc::new(dispatch);
+    // Connection threads are I/O waiters, not compute: the daemon's engine
+    // runs go through the tvs-exec job queue, the coordinator's to its
+    // workers. This file is the one SRC003 allowlist entry outside
+    // crates/exec besides the coordinator's health monitor (see the lint
+    // table).
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    while !draining.load(Ordering::Acquire) {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                let dispatch = Arc::clone(&dispatch);
+                let draining = Arc::clone(draining);
+                let handle =
+                    std::thread::spawn(move || serve_connection(stream, &*dispatch, &draining));
+                connections.push(handle);
+            }
+            // No pending connection (or a transient accept failure).
+            Err(_) => std::thread::sleep(POLL),
+        }
+        connections.retain(|h| !h.is_finished());
+    }
+    // Connection threads notice the flag at their next read timeout.
+    for handle in connections {
+        let _ = handle.join();
+    }
+    Ok(())
+}
+
 /// One connection's request/response loop.
-fn serve_connection(stream: TcpStream, table: &JobTable, draining: &AtomicBool) {
+fn serve_connection<D>(stream: TcpStream, dispatch: &D, draining: &AtomicBool)
+where
+    D: Fn(&str, &Value) -> Value,
+{
     let _ = stream.set_read_timeout(Some(POLL));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -185,8 +215,8 @@ fn serve_connection(stream: TcpStream, table: &JobTable, draining: &AtomicBool) 
             }
             Err(_) => return, // malformed stream: hang up
         };
-        let response = match dispatch(&frame, table, draining) {
-            Ok(value) => value,
+        let response = match parse_request(&frame) {
+            Ok((op, request)) => dispatch(&op, &request),
             Err(e) => e.to_wire(),
         };
         if write_frame(&mut writer, &response.to_text()).is_err() {
@@ -199,27 +229,32 @@ fn serve_connection(stream: TcpStream, table: &JobTable, draining: &AtomicBool) 
     }
 }
 
-/// Parses one request frame and executes it against the job table.
-fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Value, ServeError> {
+/// Parses one request frame into its op and document, enforcing the
+/// protocol version.
+fn parse_request(frame: &str) -> Result<(String, Value), ServeError> {
     let request = json::parse(frame).map_err(|e| ServeError::Protocol(e.to_string()))?;
     let op = request
         .get("op")
         .and_then(Value::as_str)
-        .ok_or_else(|| ServeError::Protocol("missing \"op\"".to_owned()))?;
+        .ok_or_else(|| ServeError::Protocol("missing \"op\"".to_owned()))?
+        .to_owned();
     check_version(&request)?;
+    Ok((op, request))
+}
+
+/// Executes one request against the job table.
+fn dispatch(
+    op: &str,
+    request: &Value,
+    table: &JobTable,
+    draining: &AtomicBool,
+) -> Result<Value, ServeError> {
     match op {
         "submit" => {
             if draining.load(Ordering::Acquire) {
                 return Err(ServeError::Draining);
             }
-            let bench = request
-                .get("bench")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ServeError::Protocol("submit requires \"bench\"".to_owned()))?;
-            let name = request
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("netlist");
+            let (name, bench) = bench_args(op, request)?;
             let config = config_from_wire(request.get("config"))?;
             // The client identity rides at the top level, NOT inside
             // `config`: it must never influence the artifact key.
@@ -233,36 +268,9 @@ fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Valu
                 ("key".into(), Value::str(status.key.to_string())),
             ]))
         }
-        "lint" => {
-            // Runs the same admission analysis `submit` gates on, but only
-            // reports: no job, no engine run, no rejection-cache entry.
-            let bench = request
-                .get("bench")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ServeError::Protocol("lint requires \"bench\"".to_owned()))?;
-            let name = request
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("netlist");
-            let diags = match tvs_netlist::bench::parse(name, bench) {
-                Ok(netlist) => tvs_lint::admission_diagnostics(
-                    &netlist,
-                    &tvs_lint::TestabilityConfig::default(),
-                ),
-                Err(e) => tvs_lint::netlist_error_diagnostics(&e)
-                    .ok_or_else(|| ServeError::Netlist(e.to_string()))?,
-            };
-            let deny = tvs_lint::has_deny(&diags);
-            let doc = json::parse(&tvs_lint::render_json(&diags))
-                .map_err(|e| ServeError::Protocol(format!("lint serializer: {e}")))?;
-            Ok(Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("admitted".into(), Value::Bool(!deny)),
-                ("lint".into(), doc),
-            ]))
-        }
+        "lint" => lint_op(request),
         "status" | "wait" => {
-            let job = job_arg(&request)?;
+            let job = job_arg(request)?;
             let status = if op == "wait" {
                 table.wait(job)?
             } else {
@@ -271,7 +279,7 @@ fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Valu
             Ok(status_to_wire(&status))
         }
         "fetch" => {
-            let job = job_arg(&request)?;
+            let job = job_arg(request)?;
             let artifact_text = table.fetch(job)?;
             let artifact = json::parse(&artifact_text)
                 .map_err(|e| ServeError::Protocol(format!("stored artifact corrupt: {e}")))?;
@@ -327,6 +335,33 @@ fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Valu
     }
 }
 
+/// Answers the `lint` op: the admission analysis `submit` gates on, as a
+/// report only — no job, no engine run, no verdict memoized. Syntax errors
+/// (as opposed to design-rule findings) are the plain `netlist` error.
+///
+/// # Errors
+///
+/// [`ServeError::Protocol`] without a `bench` field, [`ServeError::Netlist`]
+/// for syntax errors.
+pub fn lint_op(request: &Value) -> Result<Value, ServeError> {
+    let (name, bench) = bench_args("lint", request)?;
+    let diags = match tvs_netlist::bench::parse(name, bench) {
+        Ok(netlist) => {
+            tvs_lint::admission_diagnostics(&netlist, &tvs_lint::TestabilityConfig::default())
+        }
+        Err(e) => tvs_lint::netlist_error_diagnostics(&e)
+            .ok_or_else(|| ServeError::Netlist(e.to_string()))?,
+    };
+    let deny = tvs_lint::has_deny(&diags);
+    let doc = json::parse(&tvs_lint::render_json(&diags))
+        .map_err(|e| ServeError::Protocol(format!("lint serializer: {e}")))?;
+    Ok(Value::Obj(vec![
+        ("ok".into(), Value::Bool(true)),
+        ("admitted".into(), Value::Bool(!deny)),
+        ("lint".into(), doc),
+    ]))
+}
+
 /// Enforces the frame's protocol-version field. Requests without a `v`
 /// field are from pre-versioning peers and rejected just like mismatched
 /// ones: a mixed-version fleet must fail loudly, not misparse.
@@ -340,7 +375,30 @@ pub fn check_version(request: &Value) -> Result<(), ServeError> {
     }
 }
 
-fn job_arg(request: &Value) -> Result<&str, ServeError> {
+/// The `(name, bench)` fields of a `submit` or `lint` request; the name
+/// defaults to `"netlist"`.
+///
+/// # Errors
+///
+/// [`ServeError::Protocol`] when `bench` is missing.
+pub fn bench_args<'a>(op: &str, request: &'a Value) -> Result<(&'a str, &'a str), ServeError> {
+    let bench = request
+        .get("bench")
+        .and_then(Value::as_str)
+        .ok_or_else(|| ServeError::Protocol(format!("{op} requires \"bench\"")))?;
+    let name = request
+        .get("name")
+        .and_then(Value::as_str)
+        .unwrap_or("netlist");
+    Ok((name, bench))
+}
+
+/// The `job` field of a `status`, `wait` or `fetch` request.
+///
+/// # Errors
+///
+/// [`ServeError::Protocol`] when `job` is missing.
+pub fn job_arg(request: &Value) -> Result<&str, ServeError> {
     request
         .get("job")
         .and_then(Value::as_str)

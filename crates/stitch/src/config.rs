@@ -1,9 +1,9 @@
 //! Configuration of a stitched run and its snapshot fingerprint.
 
 use tvs_atpg::{AtpgConfig, PodemConfig};
+use tvs_logic::fnv1a;
 use tvs_scan::{CaptureTransform, ObserveTransform};
 
-use crate::snapshot::fnv1a;
 use crate::{ShiftPolicy, StrategyId};
 
 /// Configuration of a stitched test generation run.

@@ -52,5 +52,6 @@ pub use run::{
 };
 pub use select::SelectionStrategy;
 pub use sets::{FaultSets, FaultState, HiddenFault};
-pub use snapshot::{fnv1a, FaultEntry, Snapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{FaultEntry, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use strategy::{Strategy, StrategyCtx, StrategyId, ALL_STRATEGIES};
+pub use tvs_logic::fnv1a;

@@ -20,7 +20,7 @@
 use std::error::Error;
 use std::fmt;
 
-use tvs_logic::BitVec;
+use tvs_logic::{fnv1a, BitVec};
 
 use crate::CycleRecord;
 
@@ -135,18 +135,6 @@ pub struct Snapshot {
     pub never_target: Vec<usize>,
     /// Tracked indices that failed constrained ATPG at the current `k`.
     pub failed_targets: Vec<usize>,
-}
-
-/// FNV-1a-64 over a byte string — the checksum/fingerprint hash shared by
-/// snapshots, the configuration fingerprint and the serve layer's
-/// content-addressed artifact keys.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn bits_to_text(bits: &BitVec) -> String {
